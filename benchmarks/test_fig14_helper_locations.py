@@ -36,7 +36,6 @@ def delivery_probability(location, seed):
         )
         from repro.phy.backscatter_channel import LinkGeometry
         from repro.sim import calibration
-        from repro.measurement import MeasurementStream
         from repro.tag.modulator import TagModulator
 
         # Build the channel with the location's true geometry + walls.
@@ -56,10 +55,8 @@ def delivery_probability(location, seed):
         modulator = TagModulator(bit_duration_s=bit_s)
         tx_start = times[0] + 0.45
         modulator.load_bits(bits, tx_start)
-        states = np.array([modulator.state(t) for t in times])
-        records = card.measure_batch(channel.response_batch(times, states), times)
-        stream = MeasurementStream()
-        stream.extend(records)
+        states = modulator.states(times)
+        stream = card.measure_batch(channel.response_batch(times, states), times)
         try:
             decoded = UplinkDecoder().decode_frame(
                 stream, payload_len=len(payload), bit_duration_s=bit_s,

@@ -81,8 +81,6 @@ __all__ = [
     "BatchItem",
     "BatchOutcome",
     "BatchedUplinkDecoder",
-    "BatchDecodeTask",
-    "run_batch_decode_task",
 ]
 
 
@@ -257,55 +255,6 @@ class BatchedUplinkDecoder:
                 for lane in lanes:
                     self._replay_forensics(lane)
             return [self._outcome(lane) for lane in lanes]
-
-    def decode_arrays(
-        self,
-        matrices: Sequence[np.ndarray],
-        timestamps: Sequence[np.ndarray],
-        num_bits: Sequence[int],
-        bit_durations_s: Sequence[float],
-        modes: Sequence[str],
-        start_times_s: Sequence[Optional[float]],
-    ) -> List[BatchOutcome]:
-        """Array-level entry: decode pre-resolved measurement matrices.
-
-        Callers (the zero-copy engine task) have already picked the
-        effective mode and sanitized each matrix; this skips the
-        stream-level resolution and runs the packed pipeline directly.
-        """
-        lanes = []
-        for i in range(len(matrices)):
-            lane = _Lane(
-                index=i,
-                num_bits=int(num_bits[i]),
-                bit_duration_s=float(bit_durations_s[i]),
-                requested_mode=modes[i],
-                start_time_s=(
-                    None if start_times_s[i] is None
-                    else float(start_times_s[i])
-                ),
-            )
-            matrix = np.asarray(matrices[i], dtype=float)
-            lane.mode = modes[i]
-            lane.matrix = matrix
-            lane.timestamps = np.asarray(timestamps[i], dtype=float)
-            lane.n = matrix.shape[0]
-            if lane.n == 0:
-                lane.fail(DecodeError("empty measurement stream"))
-                lane.pre_record = True
-            elif lane.num_bits < 1:
-                lane.fail(ConfigurationError("num_bits must be >= 1"))
-                lane.pre_record = True
-            lanes.append(lane)
-        with obs.span("uplink.decode_batch", items=len(lanes)), \
-                obs.profile("uplink.decode_batch"):
-            for group in self._group(lanes):
-                self._decode_group(group)
-            self._finalize_obs(lanes)
-            if obs.recording_enabled():
-                for lane in lanes:
-                    self._replay_forensics(lane)
-        return [self._outcome(lane) for lane in lanes]
 
     # -- resolution -----------------------------------------------------------
 
@@ -1088,155 +1037,3 @@ class BatchedUplinkDecoder:
             repaired_values=lane.repaired,
             frame_slice=(int(frame_lo), int(frame_hi)),
         ))
-
-
-# -- zero-copy engine task ----------------------------------------------------
-
-@dataclass(frozen=True)
-class _SharedArrayRef:
-    """Name/shape/dtype descriptor of an array parked in shared memory."""
-
-    name: str
-    shape: Tuple[int, ...]
-    dtype: str
-
-
-@dataclass(frozen=True)
-class BatchDecodeTask:
-    """Engine task: decode a packed batch of pre-resolved matrices.
-
-    The packed ``matrices``/``timestamps`` arrays dominate the task's
-    pickle size; :meth:`to_shared` parks them in
-    ``multiprocessing.shared_memory`` segments and replaces them with
-    name/shape/dtype descriptors so the pool ships bytes-free task
-    stubs, and :meth:`from_shared` re-attaches zero-copy views on the
-    worker side.  Both hooks are optional protocol methods recognised
-    by :mod:`repro.sim.engine`; when shared memory is unavailable the
-    task simply pickles inline.
-    """
-
-    matrices: Optional[np.ndarray]
-    timestamps: Optional[np.ndarray]
-    lengths: Tuple[int, ...]
-    num_bits: Tuple[int, ...]
-    bit_durations_s: Tuple[float, ...]
-    modes: Tuple[str, ...]
-    start_times_s: Tuple[Optional[float], ...]
-    shared_refs: Tuple[_SharedArrayRef, ...] = ()
-
-    @staticmethod
-    def pack(
-        items: Sequence[BatchItem], decoder: BatchedUplinkDecoder
-    ) -> "BatchDecodeTask":
-        """Resolve and pack stream items into an array-only task."""
-        matrices = []
-        stamps = []
-        modes = []
-        for item in items:
-            mode, matrix, _ = decoder.scalar._resolve_matrix(
-                item.stream, item.mode
-            )
-            matrices.append(matrix)
-            stamps.append(item.stream.timestamps)
-            modes.append(mode)
-        n_max = max((m.shape[0] for m in matrices), default=0)
-        channels = max((m.shape[1] for m in matrices), default=0)
-        packed_m = np.zeros((len(items), n_max, channels))
-        packed_t = np.full((len(items), n_max), np.inf)
-        for i, (matrix, ts) in enumerate(zip(matrices, stamps)):
-            packed_m[i, :matrix.shape[0], :matrix.shape[1]] = matrix
-            packed_t[i, :len(ts)] = ts
-        return BatchDecodeTask(
-            matrices=packed_m,
-            timestamps=packed_t,
-            lengths=tuple(m.shape[0] for m in matrices),
-            num_bits=tuple(item.num_bits for item in items),
-            bit_durations_s=tuple(item.bit_duration_s for item in items),
-            modes=tuple(modes),
-            start_times_s=tuple(item.start_time_s for item in items),
-        )
-
-    def to_shared(self):
-        """Export the packed arrays into shared-memory segments.
-
-        Returns ``(task_stub, segments)``; the caller owns the segments
-        and must close+unlink them once the task's result is collected.
-        Any failure (no /dev/shm, permissions) falls back to the inline
-        task with no segments.
-        """
-        try:
-            from multiprocessing import shared_memory
-            from dataclasses import replace
-
-            segments = []
-            refs = []
-            for array in (self.matrices, self.timestamps):
-                seg = shared_memory.SharedMemory(
-                    create=True, size=max(1, array.nbytes)
-                )
-                view = np.ndarray(
-                    array.shape, dtype=array.dtype, buffer=seg.buf
-                )
-                view[...] = array
-                segments.append(seg)
-                refs.append(_SharedArrayRef(
-                    name=seg.name, shape=array.shape, dtype=str(array.dtype)
-                ))
-            stub = replace(
-                self, matrices=None, timestamps=None, shared_refs=tuple(refs)
-            )
-            return stub, segments
-        except Exception:
-            return self, []
-
-    def from_shared(self):
-        """Re-attach shared segments as zero-copy array views.
-
-        Returns ``(task, handles)``; the engine closes the handles
-        after the task function returns.  Inline tasks pass through.
-        """
-        if not self.shared_refs:
-            return self, []
-        from multiprocessing import shared_memory
-        from dataclasses import replace
-
-        handles = []
-        arrays = []
-        for ref in self.shared_refs:
-            seg = shared_memory.SharedMemory(name=ref.name)
-            handles.append(seg)
-            arrays.append(np.ndarray(
-                ref.shape, dtype=np.dtype(ref.dtype), buffer=seg.buf
-            ))
-        task = replace(
-            self, matrices=arrays[0], timestamps=arrays[1], shared_refs=()
-        )
-        return task, handles
-
-
-def run_batch_decode_task(task: BatchDecodeTask) -> List[dict]:
-    """Pool-side entry: decode a packed batch, return JSON-safe rows."""
-    decoder = BatchedUplinkDecoder()
-    outcomes = decoder.decode_arrays(
-        [task.matrices[i, :n] for i, n in enumerate(task.lengths)],
-        [task.timestamps[i, :n] for i, n in enumerate(task.lengths)],
-        task.num_bits,
-        task.bit_durations_s,
-        task.modes,
-        task.start_times_s,
-    )
-    rows = []
-    for outcome in outcomes:
-        if outcome.ok:
-            rows.append({
-                "ok": True,
-                "bits": [int(b) for b in outcome.result.bits],
-                "mode": outcome.result.mode,
-            })
-        else:
-            rows.append({
-                "ok": False,
-                "error": type(outcome.error).__name__,
-                "message": str(outcome.error),
-            })
-    return rows

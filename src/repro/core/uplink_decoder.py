@@ -251,7 +251,7 @@ class UplinkDecoder:
         cfg = self.config
         # Clean resolutions (no degradation, hence no counter/span side
         # effects) memoize on the stream: re-decodes of the same stream
-        # (retries, the batched decoder's pack step) skip the probe.
+        # skip the probe.
         memo_key = self._resolve_keys.get(mode)
         if memo_key is None:
             memo_key = self._resolve_keys.setdefault(mode, (
@@ -290,12 +290,11 @@ class UplinkDecoder:
         )
 
     def _sanitized(self, stream: MeasurementStream, mode: str, raw: np.ndarray):
-        """Sanitize gate with a cached clean-stream bypass.
+        """Sanitize gate with a clean-stream bypass.
 
-        The stream memoizes its non-finite cell count; when it is zero
-        the sanitize pass is the identity, so the per-decode
-        full-matrix ``isfinite`` scan can be skipped outright.  Dirty
-        matrices take the full :func:`conditioning.sanitize` path.
+        When the stream has no non-finite cell the sanitize pass is the
+        identity and is skipped; dirty matrices take the full
+        :func:`conditioning.sanitize` path.
         """
         if stream.nonfinite_cells(mode) == 0:
             return np.asarray(raw, dtype=float), 0
@@ -321,7 +320,7 @@ class UplinkDecoder:
             return conditioning.condition(
                 matrix, timestamps, cfg.window_s, nonfinite="propagate"
             )
-        sources = np.array([m.source for m in stream])
+        sources = stream.sources
         normalized = np.empty_like(matrix, dtype=float)
         scale = np.zeros(matrix.shape[1])
         for source in np.unique(sources):

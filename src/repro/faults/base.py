@@ -35,14 +35,15 @@ to builds without this package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple
+import bisect
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro import obs
 from repro.errors import FaultInjectionError
-from repro.measurement import ChannelMeasurement
+from repro.measurement import ChannelMeasurement, MeasurementStream
 
 
 class FaultInjector:
@@ -130,6 +131,8 @@ class BurstState:
         self.mean_burst_s = mean_burst_s
         self._rng = rng
         self._bad: List[Tuple[float, float]] = []
+        #: Start of every bad interval, for bisection.
+        self._starts: List[float] = []
         self._horizon_s = 0.0
 
     @property
@@ -144,27 +147,19 @@ class BurstState:
             bad = self._rng.exponential(self.mean_burst_s)
             start = self._horizon_s + good
             self._bad.append((start, start + bad))
+            self._starts.append(start)
             self._horizon_s = start + bad
 
     def in_burst(self, time_s: float) -> bool:
         """Whether ``time_s`` falls inside a bad interval."""
-        if self.duty_cycle == 0.0 or time_s < 0:
-            return False
-        self._extend_to(time_s)
-        starts = [b[0] for b in self._bad]
-        idx = np.searchsorted(starts, time_s, side="right") - 1
-        if idx < 0:
-            return False
-        start, end = self._bad[idx]
-        return start <= time_s < end
+        return self.burst_index(time_s) is not None
 
     def burst_index(self, time_s: float) -> Optional[int]:
         """Index of the burst covering ``time_s``, or None."""
         if self.duty_cycle == 0.0 or time_s < 0:
             return None
         self._extend_to(time_s)
-        starts = [b[0] for b in self._bad]
-        idx = int(np.searchsorted(starts, time_s, side="right") - 1)
+        idx = bisect.bisect_right(self._starts, time_s) - 1
         if idx < 0:
             return None
         start, end = self._bad[idx]
@@ -201,17 +196,38 @@ class FaultPlan:
 
     # -- pipeline application -------------------------------------------------
 
+    def _overriding(self, hook: str) -> List[FaultInjector]:
+        """Injectors that override ``hook``, in plan order.
+
+        The base hooks are pure no-ops, so skipping them leaves every
+        draw and result as calling each injector would.
+        """
+        base = getattr(FaultInjector, hook)
+        return [inj for inj in self.injectors
+                if getattr(type(inj), hook) is not base]
+
+    def _first_hit(self, hook: str, times_s: Sequence[float],
+                   hit_when: bool) -> np.ndarray:
+        """Per-time mask: True where some injector's ``hook`` returns
+        ``hit_when``; the injectors run in plan order and stop at the
+        first hit, time by time."""
+        times = np.asarray(times_s, dtype=float)
+        hits = np.zeros(len(times), dtype=bool)
+        hooks = [getattr(inj, hook) for inj in self._overriding(hook)]
+        if hooks:
+            for i, t in enumerate(times.tolist()):
+                for fn in hooks:
+                    if bool(fn(t)) == hit_when:
+                        hits[i] = True
+                        break
+        return hits
+
     def packet_mask(self, times_s: Sequence[float]) -> np.ndarray:
         """Boolean keep-mask over helper packet times (False = dropped)."""
         times = np.asarray(times_s, dtype=float)
-        keep = np.ones(len(times), dtype=bool)
         if self.empty:
-            return keep
-        for i, t in enumerate(times):
-            for inj in self.injectors:
-                if inj.drop_packet(float(t)):
-                    keep[i] = False
-                    break
+            return np.ones(len(times), dtype=bool)
+        keep = ~self._first_hit("drop_packet", times, True)
         dropped = int(len(times) - keep.sum())
         if dropped:
             obs.counter("faults.packets.dropped").inc(dropped)
@@ -224,14 +240,9 @@ class FaultPlan:
     def tag_powered_mask(self, times_s: Sequence[float]) -> np.ndarray:
         """Boolean powered-mask over sample times (False = browned out)."""
         times = np.asarray(times_s, dtype=float)
-        powered = np.ones(len(times), dtype=bool)
         if self.empty:
-            return powered
-        for i, t in enumerate(times):
-            for inj in self.injectors:
-                if not inj.tag_powered(float(t)):
-                    powered[i] = False
-                    break
+            return np.ones(len(times), dtype=bool)
+        powered = ~self._first_hit("tag_powered", times, False)
         dark = int(len(times) - powered.sum())
         if dark:
             obs.counter("faults.tag.brownout_samples").inc(dark)
@@ -271,20 +282,31 @@ class FaultPlan:
             obs.counter("faults.packets.dropped").inc()
         return dropped
 
+    def _corrupt_row(self, csi, rssi, time_s, corrupters, warpers):
+        """One row through every corruption hook, then every clock warp.
+
+        Returns ``(csi, rssi, warped_s, changed)``; an injector hands
+        back the very arrays it was given when it leaves a row alone.
+        """
+        new_csi, new_rssi = csi, rssi
+        for inj in corrupters:
+            new_csi, new_rssi = inj.corrupt(new_csi, new_rssi, time_s)
+        warped = time_s
+        for inj in warpers:
+            warped = inj.warp_timestamp(warped)
+        changed = (new_csi is not csi or new_rssi is not rssi
+                   or warped != time_s)
+        return new_csi, new_rssi, warped, changed
+
     def corrupt_measurement(
         self, measurement: ChannelMeasurement
     ) -> ChannelMeasurement:
         """One record through every injector's corruption + clock warp."""
-        csi = measurement.csi
-        rssi = measurement.rssi_dbm
-        t = measurement.timestamp_s
-        for inj in self.injectors:
-            csi, rssi = inj.corrupt(csi, rssi, t)
-        warped = t
-        for inj in self.injectors:
-            warped = inj.warp_timestamp(warped)
-        if csi is measurement.csi and rssi is measurement.rssi_dbm \
-                and warped == t:
+        csi, rssi, warped, changed = self._corrupt_row(
+            measurement.csi, measurement.rssi_dbm, measurement.timestamp_s,
+            self._overriding("corrupt"), self._overriding("warp_timestamp"),
+        )
+        if not changed:
             return measurement
         obs.counter("faults.measurements.corrupted").inc()
         return ChannelMeasurement(
@@ -295,25 +317,52 @@ class FaultPlan:
         )
 
     def corrupt_records(
-        self, records: Iterable[ChannelMeasurement]
-    ) -> List[ChannelMeasurement]:
-        """Apply corruption + clock warp to a record sequence.
+        self, stream: MeasurementStream
+    ) -> Tuple[MeasurementStream, np.ndarray]:
+        """Apply corruption + clock warp to every row of a stream.
 
-        Warped timestamps are re-monotonized (cumulative max) so the
-        result still satisfies :class:`MeasurementStream` ordering.
+        Rows go through the hooks one by one, in row order, so each
+        injector sees the calls (and makes the draws) it would on a
+        per-record capture.  Warped timestamps are re-monotonized
+        (cumulative max) so the result stays ordered.
+
+        Returns:
+            ``(stream, touched)``: the rewritten stream and a row mask,
+            True where the CSI, RSSI or timestamp changed.
         """
-        out = [self.corrupt_measurement(m) for m in records]
-        last = -np.inf
-        fixed: List[ChannelMeasurement] = []
-        for m in out:
-            if m.timestamp_s < last:
-                m = ChannelMeasurement(
-                    timestamp_s=last, csi=m.csi, rssi_dbm=m.rssi_dbm,
-                    source=m.source,
-                )
-            last = m.timestamp_s
-            fixed.append(m)
-        return fixed
+        times = stream.timestamps
+        touched = np.zeros(len(times), dtype=bool)
+        corrupters = self._overriding("corrupt")
+        warpers = self._overriding("warp_timestamp")
+        if not (corrupters or warpers):
+            return stream, touched
+        csi_in, rssi_in = stream.csi, stream.rssi_matrix()
+        csi_out = rssi_out = None
+        warped = times.copy()
+        for i, (t, has_csi) in enumerate(
+            zip(times.tolist(), stream.has_csi.tolist())
+        ):
+            csi = csi_in[i] if has_csi else None
+            rssi = rssi_in[i]
+            new_csi, new_rssi, warped[i], touched[i] = self._corrupt_row(
+                csi, rssi, t, corrupters, warpers
+            )
+            if new_csi is not csi:
+                if csi_out is None:
+                    csi_out = csi_in.copy()
+                csi_out[i] = new_csi
+            if new_rssi is not rssi:
+                if rssi_out is None:
+                    rssi_out = rssi_in.copy()
+                rssi_out[i] = new_rssi
+        corrupted = int(touched.sum())
+        if corrupted:
+            obs.counter("faults.measurements.corrupted").inc(corrupted)
+        fixed = np.maximum.accumulate(warped)
+        touched |= fixed != times
+        if not touched.any():
+            return stream, touched
+        return stream.replaced(fixed, csi_out, rssi_out), touched
 
     # -- description ----------------------------------------------------------
 

@@ -60,19 +60,26 @@ class AgcModel:
     def next_gains(self, count: int) -> "np.ndarray":
         """Vector of ``count`` successive per-packet gains.
 
-        Equivalent to ``count`` calls of :meth:`next_gain`.
+        Bit-identical to ``count`` calls of :meth:`next_gain`.  The steps
+        are one ``normal(size=count)`` draw, the mean-reverting target
+        runs as a float loop, and ``10 ** (q / 20)`` is taken once per
+        distinct quantised level with Python's ``**`` (the C library
+        ``pow`` of :meth:`next_gain`; a vectorised ``np.power`` may
+        differ from it in the last bit on SIMD builds).
         """
         if count < 0:
             raise ConfigurationError("count must be >= 0")
         steps = self.rng.normal(scale=self.wander_std_db, size=count)
-        gains = np.empty(count)
         target = self._target_db
-        for i in range(count):
-            target = (target + steps[i]) * 0.999
-            if self.step_db > 0:
-                q = round(target / self.step_db) * self.step_db
-            else:
-                q = target
-            gains[i] = 10.0 ** (q / 20.0)
+        targets = []
+        for step in steps.tolist():
+            target = (target + step) * 0.999
+            targets.append(target)
         self._target_db = target
-        return gains
+        levels = np.array(targets, dtype=float)
+        if self.step_db > 0:
+            # np.round and round() both round half to even.
+            levels = np.round(levels / self.step_db) * self.step_db
+        distinct, rows = np.unique(levels, return_inverse=True)
+        table = [10.0 ** (q / 20.0) for q in distinct.tolist()]
+        return np.array(table, dtype=float)[rows]

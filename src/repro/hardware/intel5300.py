@@ -30,7 +30,7 @@ from repro.errors import ConfigurationError
 from repro.hardware.agc import AgcModel
 from repro.hardware.rssi import RssiModel
 from repro.phy.noise import SpuriousGlitchModel, quantize
-from repro.measurement import ChannelMeasurement
+from repro.measurement import ChannelMeasurement, MeasurementStream
 
 
 @dataclass
@@ -142,13 +142,13 @@ class Intel5300:
         timestamps_s: np.ndarray,
         source: str = "helper",
         with_csi: bool = True,
-    ) -> "list[ChannelMeasurement]":
-        """Vectorized :meth:`measure` for many packets.
+    ) -> MeasurementStream:
+        """Vectorized :meth:`measure` for many packets, as one stream.
 
         Args:
             true_channels: complex channels, shape (n, antennas, subch).
-            timestamps_s: packet timestamps, shape (n,).
-            source: transmitter label for every record.
+            timestamps_s: non-decreasing packet timestamps, shape (n,).
+            source: transmitter label for every packet.
             with_csi: whether CSI is reported (False for beacons).
         """
         h = np.asarray(true_channels, dtype=complex)
@@ -157,8 +157,7 @@ class Intel5300:
             raise ConfigurationError("true_channels must be 3-D")
         if len(times) != h.shape[0]:
             raise ConfigurationError("timestamps must match channel count")
-        n = h.shape[0]
-        amplitude = np.abs(h).astype(float)
+        amplitude = np.abs(h)
         if self.weak_antenna is not None and self.weak_antenna < amplitude.shape[1]:
             amplitude[:, self.weak_antenna, :] *= self.weak_antenna_gain
 
@@ -169,23 +168,16 @@ class Intel5300:
             if self._reference_amplitude is None:
                 self._reference_amplitude = float(np.abs(h[0]).mean())
             scale = self.nominal_level / self._reference_amplitude
+            n = h.shape[0]
             gains = self.agc.next_gains(n) * self.glitches.sample_scales(n)
-            reported = amplitude * scale * gains[:, None, None]
+            # In place from here: ``amplitude`` is not read again.
+            reported = amplitude
+            reported *= scale
+            reported *= gains[:, None, None]
             noise_std = self.csi_noise_rel * self.nominal_level
-            reported = reported + self.rng.normal(
-                scale=noise_std, size=reported.shape
-            )
+            reported += self.rng.normal(scale=noise_std, size=reported.shape)
             step = self.csi_quantization_rel * self.nominal_level
-            csi_all = quantize(np.maximum(reported, 0.0), step)
-
-        out = []
-        for i in range(n):
-            out.append(
-                ChannelMeasurement(
-                    timestamp_s=float(times[i]),
-                    csi=csi_all[i] if csi_all is not None else None,
-                    rssi_dbm=rssi[i],
-                    source=source,
-                )
-            )
-        return out
+            csi_all = quantize(np.maximum(reported, 0.0, out=reported), step)
+        return MeasurementStream.from_arrays(
+            times, rssi, csi=csi_all, source=source
+        )

@@ -1,20 +1,24 @@
-"""Per-packet channel measurement records.
+"""Per-packet channel measurements, held as arrays.
 
-A :class:`ChannelMeasurement` is what monitor-mode capture on a
-commodity Wi-Fi card yields per received packet: a timestamp (from the
-Wi-Fi header — the paper uses it to bin measurements into tag-bit
-boundaries, §3.2/§5), the CSI amplitude matrix when the chipset exposes
-CSI (Intel 5300: 3 antennas x 30 sub-channels), and per-antenna RSSI.
+Monitor-mode capture on a commodity Wi-Fi card yields, per received
+packet: a timestamp (from the Wi-Fi header — the paper uses it to bin
+measurements into tag-bit boundaries, §3.2/§5), the CSI amplitude matrix
+when the chipset exposes CSI (Intel 5300: 3 antennas x 30 sub-channels),
+and per-antenna RSSI.
 
-The uplink decoders consume sequences of these records; the MAC
-capture layer and the trace reader both produce them, so recorded and
-simulated experiments share one code path.
+A :class:`MeasurementStream` holds those as struct-of-arrays: timestamps
+``(n,)``, CSI ``(n, antennas, subchannels)`` with a has-CSI mask for
+RSSI-only frames, RSSI ``(n, antennas)`` and a source code per packet.
+The card model builds a stream in one step and the decoders read its
+arrays.  :class:`ChannelMeasurement` is the per-row view: iteration
+yields it, and the MAC capture layer and the trace reader append it, so
+recorded and simulated experiments share one code path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -57,121 +61,248 @@ class ChannelMeasurement:
         return len(self.rssi_dbm)
 
 
-@dataclass
-class MeasurementStream:
-    """An ordered collection of measurements with array accessors.
+def _readonly(array: np.ndarray) -> np.ndarray:
+    """A read-only view: streams share their arrays with every caller."""
+    view = array.view()
+    view.flags.writeable = False
+    return view
 
-    Decoders operate on matrices, not record lists; this container
-    validates time ordering and exposes the stacked views they need.
+
+class MeasurementStream:
+    """An ordered packet stream held as struct-of-arrays.
+
+    Every accessor returns a read-only view of the stored arrays, so
+    reading a stream never restacks it.  Rows added with :meth:`append`
+    are staged and folded into the arrays on the next read.
     """
 
-    measurements: List[ChannelMeasurement] = field(default_factory=list)
-    #: Length-keyed memo of the stacked array views.  Decoders hit
-    #: ``timestamps`` / ``flattened_csi()`` several times per decode
-    #: (and the batched decoder packs the same stream it just
-    #: coverage-probed), so each stacked view is built once per stream
-    #: length and invalidated by growth.  Cached arrays are marked
-    #: read-only because they are shared between callers.
-    _cache: Dict[str, Tuple[int, Any]] = field(
-        default_factory=dict, repr=False, compare=False
-    )
+    def __init__(self, measurements: Iterable[ChannelMeasurement] = ()) -> None:
+        self._set(
+            np.empty(0), np.empty((0, 0, 0)), np.empty(0, dtype=bool),
+            np.empty((0, 0)), np.empty(0, dtype=np.intp), [],
+        )
+        self._staged: List[ChannelMeasurement] = []
+        #: Length-keyed memo for callers' derived values (see memo_get).
+        self._memo: Dict[str, Tuple[int, Any]] = {}
+        for item in measurements:
+            self.append(item)
+
+    @classmethod
+    def from_arrays(
+        cls,
+        timestamps: np.ndarray,
+        rssi_dbm: np.ndarray,
+        csi: Optional[np.ndarray] = None,
+        source: str = "helper",
+    ) -> "MeasurementStream":
+        """A stream over existing arrays, without copying them.
+
+        Args:
+            timestamps: non-decreasing packet times, shape ``(n,)``.
+            rssi_dbm: per-antenna RSSI, shape ``(n, antennas)``.
+            csi: CSI amplitudes, shape ``(n, antennas, subchannels)``,
+                or ``None`` when no packet carries CSI.
+            source: transmitter label of every packet.
+        """
+        times = np.asarray(timestamps, dtype=float)
+        rssi = np.asarray(rssi_dbm, dtype=float)
+        if times.ndim != 1 or rssi.ndim != 2 or len(rssi) != len(times):
+            raise ConfigurationError(
+                "timestamps must be (n,) and rssi_dbm (n, antennas)"
+            )
+        n = len(times)
+        if csi is None:
+            csi = np.empty((n, 0, 0))
+            has_csi = np.zeros(n, dtype=bool)
+        else:
+            csi = np.asarray(csi, dtype=float)
+            if csi.ndim != 3 or len(csi) != n:
+                raise ConfigurationError(
+                    "csi must be (n, antennas, subchannels)"
+                )
+            has_csi = np.ones(n, dtype=bool)
+        if np.any(times[1:] < times[:-1]):
+            raise ConfigurationError("measurements must be in timestamp order")
+        stream = cls()
+        stream._set(
+            times, csi, has_csi, rssi, np.zeros(n, dtype=np.intp), [source]
+        )
+        return stream
+
+    def _set(self, timestamps, csi, has_csi, rssi, codes, labels) -> None:
+        self._timestamps = _readonly(timestamps)
+        self._csi = _readonly(csi)
+        self._has_csi = _readonly(has_csi)
+        self._rssi = _readonly(rssi)
+        self._codes = _readonly(codes)
+        self._labels: List[str] = labels
+        self._csi_count = int(has_csi.sum())
+
+    def _fold(self) -> None:
+        """Fold the staged rows into the arrays."""
+        rows = self._staged
+        if not rows:
+            return
+        has_csi = np.array([m.csi is not None for m in rows])
+        shape = self._csi.shape[1:]
+        if has_csi.any() and not self._csi_count:
+            # The first rows with CSI fix the stream's CSI shape.
+            shape = next(m.csi.shape for m in rows if m.csi is not None)
+        block = np.full((len(rows),) + shape, np.nan)
+        for i, m in enumerate(rows):
+            if m.csi is not None:
+                if m.csi.shape != shape:
+                    raise ConfigurationError(
+                        f"inconsistent CSI shapes: {m.csi.shape} vs {shape}"
+                    )
+                block[i] = m.csi
+        csi = self._csi
+        if csi.shape[1:] != shape:  # no earlier row carried CSI
+            csi = np.full((len(csi),) + shape, np.nan)
+        rssi = np.stack([m.rssi_dbm for m in rows]).astype(float)
+        old_rssi = self._rssi if len(self._rssi) else rssi[:0]
+        index = {label: code for code, label in enumerate(self._labels)}
+        codes = [index.setdefault(m.source, len(index)) for m in rows]
+        self._set(
+            np.concatenate([self._timestamps, [m.timestamp_s for m in rows]]),
+            np.concatenate([csi, block]),
+            np.concatenate([self._has_csi, has_csi]),
+            np.concatenate([old_rssi, rssi]),
+            np.concatenate([self._codes, np.array(codes, dtype=np.intp)]),
+            list(index),
+        )
+        self._staged = []
+
+    def replaced(
+        self,
+        timestamps: Optional[np.ndarray] = None,
+        csi: Optional[np.ndarray] = None,
+        rssi_dbm: Optional[np.ndarray] = None,
+    ) -> "MeasurementStream":
+        """A copy with some columns swapped for same-shape arrays.
+
+        The has-CSI mask and the sources carry over; rows without CSI
+        stay without it whatever ``csi`` holds there.
+        """
+        self._fold()
+        columns = (self._timestamps, self._csi, self._rssi)
+        new = [
+            old if value is None else np.asarray(value, dtype=float)
+            for old, value in zip(columns, (timestamps, csi, rssi_dbm))
+        ]
+        if any(a.shape != b.shape for a, b in zip(columns, new)):
+            raise ConfigurationError("replaced columns must keep their shape")
+        if np.any(new[0][1:] < new[0][:-1]):
+            raise ConfigurationError("measurements must be in timestamp order")
+        out = MeasurementStream()
+        out._set(new[0], new[1], self._has_csi, new[2], self._codes,
+                 self._labels)
+        return out
+
+    # -- record interface -------------------------------------------------------
 
     def append(self, measurement: ChannelMeasurement) -> None:
-        if self.measurements and (
-            measurement.timestamp_s < self.measurements[-1].timestamp_s
-        ):
+        if self._staged:
+            last = self._staged[-1].timestamp_s
+        elif len(self._timestamps):
+            last = self._timestamps[-1]
+        else:
+            last = None
+        if last is not None and measurement.timestamp_s < last:
             raise ConfigurationError(
                 "measurements must be appended in timestamp order"
             )
-        self.measurements.append(measurement)
-
-    def _memo(self, key: str, build: Callable[[], Any]) -> Any:
-        """Value of ``build()``, cached until the stream changes length.
-
-        The memo key is the record count: ``append``/``extend`` grow the
-        list, so a stale entry can never be served after new packets
-        arrive.  In-place replacement of an existing record (which no
-        repo code path does) is the one mutation this would not see.
-        """
-        entry = self._cache.get(key)
-        n = len(self.measurements)
-        if entry is not None and entry[0] == n:
-            return entry[1]
-        value = build()
-        if isinstance(value, np.ndarray):
-            value.flags.writeable = False
-        self._cache[key] = (n, value)
-        return value
-
-    def memo_get(self, key: str) -> Any:
-        """Peek a memo entry without building (None when absent/stale).
-
-        Companion to :meth:`memo_put` for callers whose build step has
-        side effects that must not be skipped on a miss (the decoder's
-        mode-resolution probe increments degradation counters).
-        """
-        entry = self._cache.get(key)
-        if entry is not None and entry[0] == len(self.measurements):
-            return entry[1]
-        return None
-
-    def memo_put(self, key: str, value: Any) -> Any:
-        """Store a memo entry under the current stream length."""
-        self._cache[key] = (len(self.measurements), value)
-        return value
+        self._staged.append(measurement)
 
     def extend(self, items: Iterable[ChannelMeasurement]) -> None:
         for item in items:
             self.append(item)
 
+    def memo_get(self, key: str) -> Any:
+        """A value :meth:`memo_put` stored at the current length, or None.
+
+        Streams only grow, so a length-keyed entry is exact: a stale
+        one can never be served after new packets arrive.  The decoder
+        memoises its side-effect-free mode resolution here.
+        """
+        entry = self._memo.get(key)
+        if entry is not None and entry[0] == len(self):
+            return entry[1]
+        return None
+
+    def memo_put(self, key: str, value: Any) -> Any:
+        """Store a memo entry under the current stream length."""
+        self._memo[key] = (len(self), value)
+        return value
+
     def __len__(self) -> int:
-        return len(self.measurements)
+        return len(self._timestamps) + len(self._staged)
+
+    def _row(self, i: int) -> ChannelMeasurement:
+        return ChannelMeasurement(
+            timestamp_s=float(self._timestamps[i]),
+            csi=self._csi[i] if self._has_csi[i] else None,
+            rssi_dbm=self._rssi[i],
+            source=self._labels[self._codes[i]],
+        )
 
     def __iter__(self):
-        return iter(self.measurements)
+        self._fold()
+        return (self._row(i) for i in range(len(self._timestamps)))
 
     def __getitem__(self, index):
-        return self.measurements[index]
+        self._fold()
+        if isinstance(index, slice):
+            return [self._row(i) for i in range(*index.indices(len(self)))]
+        return self._row(index)
+
+    # -- array views --------------------------------------------------------------
 
     @property
     def timestamps(self) -> np.ndarray:
         """Packet timestamps (s), shape ``(n_packets,)``."""
-        return self._memo(
-            "timestamps",
-            lambda: np.array([m.timestamp_s for m in self.measurements]),
-        )
+        self._fold()
+        return self._timestamps
 
-    def _build_csi_matrix(self) -> np.ndarray:
-        if not self.measurements:
-            return np.empty((0, 0, 0))
-        mats = []
-        for m in self.measurements:
-            if m.csi is None:
-                raise ConfigurationError(
-                    "csi_matrix() requires CSI on every measurement; "
-                    "use rssi_matrix() for RSSI-only streams"
-                )
-            mats.append(m.csi)
-        return np.stack(mats)
+    @property
+    def has_csi(self) -> np.ndarray:
+        """Which packets carry CSI, shape ``(n_packets,)``."""
+        self._fold()
+        return self._has_csi
+
+    @property
+    def csi(self) -> np.ndarray:
+        """CSI block, shape ``(n_packets, antennas, subchannels)``.
+
+        Rows without CSI (see :attr:`has_csi`) hold NaN.
+        """
+        self._fold()
+        return self._csi
+
+    @property
+    def sources(self) -> np.ndarray:
+        """Transmitter label per packet, shape ``(n_packets,)``."""
+        self._fold()
+        return np.array(self._labels)[self._codes]
 
     def csi_matrix(self) -> np.ndarray:
         """Stacked CSI amplitudes, shape ``(n_packets, antennas, subchannels)``.
 
         Raises:
-            ConfigurationError: if any measurement lacks CSI or shapes
-                are inconsistent.
+            ConfigurationError: if any measurement lacks CSI.
         """
-        return self._memo("csi_matrix", self._build_csi_matrix)
+        self._fold()
+        if self._csi_count < len(self._timestamps):
+            raise ConfigurationError(
+                "csi_matrix() requires CSI on every measurement; "
+                "use rssi_matrix() for RSSI-only streams"
+            )
+        return self._csi
 
     def rssi_matrix(self) -> np.ndarray:
         """Stacked RSSI values, shape ``(n_packets, antennas)``."""
-        return self._memo(
-            "rssi_matrix",
-            lambda: (
-                np.empty((0, 0)) if not self.measurements
-                else np.stack([m.rssi_dbm for m in self.measurements])
-            ),
-        )
+        self._fold()
+        return self._rssi
 
     def flattened_csi(self) -> np.ndarray:
         """CSI flattened to (n_packets, antennas * subchannels).
@@ -179,11 +310,8 @@ class MeasurementStream:
         The paper treats "multiple antennas as additional sub-channels"
         (§3.2); this view implements that.
         """
-        def build() -> np.ndarray:
-            csi = self.csi_matrix()
-            return csi.reshape(csi.shape[0], -1)
-
-        return self._memo("flattened_csi", build)
+        n, antennas, subchannels = self.csi_matrix().shape
+        return _readonly(self._csi.reshape(n, antennas * subchannels))
 
     def csi_coverage(self) -> float:
         """Fraction of records carrying a CSI matrix (1.0 when empty).
@@ -192,80 +320,81 @@ class MeasurementStream:
         decoding is even possible, or the stream is effectively
         RSSI-only (e.g. a beacon-dominated capture, §7.5).
         """
-        def build() -> float:
-            if not self.measurements:
-                return 1.0
-            with_csi = sum(1 for m in self.measurements if m.csi is not None)
-            return with_csi / len(self.measurements)
+        self._fold()
+        n = len(self._timestamps)
+        return self._csi_count / n if n else 1.0
 
-        return self._memo("csi_coverage", build)
+    def _mode_matrix(self, mode: str) -> np.ndarray:
+        if mode == "csi":
+            return self.flattened_csi()
+        if mode == "rssi":
+            return self.rssi_matrix()
+        raise ConfigurationError(f"mode must be 'csi' or 'rssi', got {mode!r}")
 
     def finite_column_fraction(self, mode: str) -> np.ndarray:
         """Per-column fraction of finite cells of the stacked matrix.
 
         ``mode`` selects :meth:`flattened_csi` (``"csi"``) or
-        :meth:`rssi_matrix` (``"rssi"``).  This is exactly
-        ``np.isfinite(matrix).mean(axis=0)``, cached so the decoder's
-        usable-channel probe does not rescan the matrix per decode.
+        :meth:`rssi_matrix` (``"rssi"``): ``np.isfinite(matrix).mean(axis=0)``,
+        the decoder's usable-channel probe.
         """
-        if mode not in ("csi", "rssi"):
-            raise ConfigurationError(f"mode must be 'csi' or 'rssi', got {mode!r}")
-
-        def build() -> np.ndarray:
-            matrix = (
-                self.flattened_csi() if mode == "csi" else self.rssi_matrix()
-            )
-            return np.isfinite(matrix).mean(axis=0)
-
-        return self._memo(f"finite_fraction:{mode}", build)
+        return np.isfinite(self._mode_matrix(mode)).mean(axis=0)
 
     def nonfinite_cells(self, mode: str) -> int:
-        """NaN/inf cell count of the stacked ``mode`` matrix (cached).
+        """NaN/inf cell count of the stacked ``mode`` matrix.
 
         Zero means the sanitize gate can pass the matrix through
-        untouched, which the decoders exploit to skip a full-matrix
-        ``isfinite`` scan per decode.
+        untouched.
         """
-        if mode not in ("csi", "rssi"):
-            raise ConfigurationError(f"mode must be 'csi' or 'rssi', got {mode!r}")
-
-        def build() -> int:
-            matrix = (
-                self.flattened_csi() if mode == "csi" else self.rssi_matrix()
-            )
-            return int((~np.isfinite(matrix)).sum())
-
-        return self._memo(f"nonfinite_cells:{mode}", build)
-
-    def non_finite_count(self) -> int:
-        """Total NaN/inf cells across all CSI and RSSI arrays.
-
-        Fault injection (and real capture logs) can poison individual
-        samples; this is the cheap health probe callers use before
-        deciding on a repair/reject policy.
-        """
-        count = 0
-        for m in self.measurements:
-            if m.csi is not None:
-                count += int((~np.isfinite(m.csi)).sum())
-            count += int((~np.isfinite(m.rssi_dbm)).sum())
-        return count
+        return int((~np.isfinite(self._mode_matrix(mode))).sum())
 
     def sliced(self, start_s: float, end_s: float) -> "MeasurementStream":
         """Sub-stream with ``start_s <= t < end_s``."""
         if end_s < start_s:
             raise ConfigurationError("end_s must be >= start_s")
-        subset = [
-            m for m in self.measurements if start_s <= m.timestamp_s < end_s
-        ]
-        return MeasurementStream(measurements=subset)
+        times = self.timestamps
+        rows = (start_s <= times) & (times < end_s)
+        out = MeasurementStream()
+        out._set(
+            times[rows], self._csi[rows], self._has_csi[rows],
+            self._rssi[rows], self._codes[rows], self._labels,
+        )
+        return out
 
 
 def merge_streams(streams: Sequence[MeasurementStream]) -> MeasurementStream:
-    """Merge several streams into one, ordered by timestamp."""
-    merged = sorted(
-        (m for s in streams for m in s.measurements), key=lambda m: m.timestamp_s
-    )
+    """Merge several streams into one, ordered by timestamp.
+
+    The sort is stable: packets with equal timestamps keep the order of
+    ``streams``, then their order within a stream.
+    """
+    parts = [s for s in streams if len(s)]
     out = MeasurementStream()
-    out.extend(merged)
+    if not parts:
+        return out
+    for s in parts:
+        s._fold()
+    shapes = {s.csi.shape[1:] for s in parts if s.has_csi.any()}
+    if len(shapes) > 1:
+        raise ConfigurationError(f"inconsistent CSI shapes: {sorted(shapes)}")
+    shape = shapes.pop() if shapes else (0, 0)
+    index: Dict[str, int] = {}
+    codes = []
+    for s in parts:
+        remap = [index.setdefault(label, len(index)) for label in s._labels]
+        codes.append(np.array(remap, dtype=np.intp)[s._codes])
+    times = np.concatenate([s.timestamps for s in parts])
+    order = np.argsort(times, kind="stable")
+    out._set(
+        times[order],
+        np.concatenate([
+            s.csi if s.csi.shape[1:] == shape
+            else np.full((len(s),) + shape, np.nan)
+            for s in parts
+        ])[order],
+        np.concatenate([s.has_csi for s in parts])[order],
+        np.concatenate([s.rssi_matrix() for s in parts])[order],
+        np.concatenate(codes)[order],
+        list(index),
+    )
     return out

@@ -333,9 +333,7 @@ def _bench_fleet_telemetry(iterations: int, seed: int,
 def _bench_uplink_batch(iterations: int, seed: int,
                         workers: int = 1) -> Dict[str, float]:
     # Not forwarded: the batched decoder's win is single-process
-    # vectorization (one pipeline pass over K stacked packets); the
-    # multi-process story is the engine's zero-copy shared-memory
-    # transfer, which has its own tests.
+    # vectorization (one pipeline pass over K stacked packets).
     del workers
     import numpy as np
 

@@ -139,6 +139,10 @@ class BackscatterChannel:
             * a_tr
             * self._backscatter.frequency_response(self._frequencies)
         )
+        #: Channel per tag state: row 0 absorbs, row 1 reflects.
+        self._h_states = np.stack(
+            [self._h_direct, self._h_direct + self._h_backscatter]
+        )
 
     @property
     def num_subchannels(self) -> int:
@@ -158,11 +162,7 @@ class BackscatterChannel:
         """
         if tag_state not in (0, 1):
             raise ConfigurationError(f"tag_state must be 0 or 1, got {tag_state}")
-        scale = self.drift.sample(time_s)
-        h = self._h_direct
-        if tag_state:
-            h = h + self._h_backscatter
-        return scale * h
+        return self.drift.sample(time_s) * self._h_states[int(tag_state)]
 
     def response_batch(self, times_s: np.ndarray, tag_states: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`response` for many packets.
@@ -178,14 +178,12 @@ class BackscatterChannel:
         states = np.asarray(tag_states, dtype=int)
         if times.shape != states.shape:
             raise ConfigurationError("times and states must have equal length")
-        if not np.all(np.isin(states, (0, 1))):
+        if states.size and (states.min() < 0 or states.max() > 1):
             raise ConfigurationError("tag_states must be 0/1")
         scale = self.drift.sample_batch(times)
-        h = np.broadcast_to(
-            self._h_direct, (len(times),) + self._h_direct.shape
-        ).copy()
-        h[states == 1] += self._h_backscatter
-        return scale[:, None, None] * h
+        h = self._h_states[states]
+        h *= scale[:, None, None]
+        return h
 
     def modulation_depth(self) -> np.ndarray:
         """Per-antenna/sub-channel relative amplitude change |H1|-|H0| / mean|H0|.

@@ -176,11 +176,37 @@ class TemporalDrift:
     def sample_batch(self, times_s: np.ndarray) -> np.ndarray:
         """Drift factors for a non-decreasing batch of timestamps.
 
-        Equivalent to calling :meth:`sample` in sequence; kept as a
-        single vector pass for the sweep experiments.
+        Bit-identical to calling :meth:`sample` in sequence.  The normals
+        come from one ``normal(size=n)`` draw, which yields the same
+        values as ``n`` scalar draws; ``exp`` and ``sqrt`` run as array
+        passes; only the OU recurrence runs as a float loop.  ``decay **
+        2`` is taken per element with Python's ``**``, the C library
+        ``pow`` that :meth:`sample` calls: a vectorised square may
+        differ from it in the last bit.
         """
         times = np.asarray(times_s, dtype=float)
-        out = np.empty(len(times))
-        for i, t in enumerate(times):
-            out[i] = self.sample(float(t))
-        return out
+        if len(times) == 0:
+            return np.empty(0)
+        last = times[0] if self._last_time is None else self._last_time
+        previous = np.concatenate(([last], times[:-1]))
+        dt = times - previous
+        backwards = np.flatnonzero(dt < 0)
+        if len(backwards):
+            i = backwards[0]
+            raise ConfigurationError(
+                f"TemporalDrift must be sampled in time order: "
+                f"{float(times[i])} < {float(previous[i])}"
+            )
+        theta = 1.0 / self.time_constant_s
+        decay = np.exp(-theta * dt)
+        squares = np.array([d ** 2 for d in decay.tolist()])
+        noise_std = self.amplitude * np.sqrt(np.maximum(0.0, 1.0 - squares))
+        kicks = self.rng.normal(size=len(times)) * noise_std
+        state = self._state
+        path = []
+        for d, kick in zip(decay.tolist(), kicks.tolist()):
+            state = state * d + kick
+            path.append(state)
+        self._state = state
+        self._last_time = float(times[-1])
+        return 1.0 + np.array(path)

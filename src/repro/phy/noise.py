@@ -111,4 +111,7 @@ def quantize(values: np.ndarray, step: float) -> np.ndarray:
         raise ConfigurationError(f"quantization step must be >= 0, got {step}")
     if step == 0:
         return np.asarray(values, dtype=float)
-    return np.round(np.asarray(values, dtype=float) / step) * step
+    out = np.asarray(values, dtype=float) / step
+    np.round(out, out=out)
+    out *= step
+    return out

@@ -126,74 +126,6 @@ def _noop(_: int) -> None:
     return None
 
 
-# -- shared-memory task transfer ----------------------------------------------
-#
-# Tasks whose payload is dominated by large ndarrays (the batched decode
-# task packs K packets' CSI into one matrix) can opt into zero-copy
-# transfer by exposing two protocol methods:
-#
-#   ``to_shared()  -> (stub, segments)``  — parent side, before submit:
-#       park the arrays in ``multiprocessing.shared_memory`` segments
-#       and return a bytes-free task stub plus the segments the parent
-#       must close+unlink after collecting the result.
-#   ``from_shared() -> (task, handles)``  — worker side: re-attach the
-#       segments as array views; the engine closes the handles after
-#       the task function returns.
-#
-# Tasks without the hooks (or whose export fails — no /dev/shm,
-# permissions) pickle inline exactly as before.
-
-
-def _export_shared(tasks: Sequence[Any]) -> Tuple[List[Any], List[Any]]:
-    """Export each task's arrays to shared memory where supported.
-
-    Returns ``(stubs, segments)``: the task list to submit (stubs for
-    exporting tasks, originals for the rest) and every live segment the
-    caller must release via :func:`_release_segments` once results are
-    in hand.
-    """
-    stubs: List[Any] = []
-    segments: List[Any] = []
-    for task in tasks:
-        to_shared = getattr(task, "to_shared", None)
-        if to_shared is None:
-            stubs.append(task)
-            continue
-        try:
-            stub, segs = to_shared()
-        except Exception:
-            stub, segs = task, []
-        stubs.append(stub)
-        segments.extend(segs)
-    if segments:
-        obs.counter("engine.shm.segments").inc(len(segments))
-    return stubs, segments
-
-
-def _release_segments(segments: Sequence[Any]) -> None:
-    """Close and unlink parent-owned shared segments (idempotent-ish)."""
-    for seg in segments:
-        try:
-            seg.close()
-        except OSError:
-            pass
-        try:
-            seg.unlink()
-        except (OSError, FileNotFoundError):
-            pass
-
-
-def _resolve_shared(task: Any) -> Tuple[Any, List[Any]]:
-    """Worker side: re-attach a shared-memory task stub, if it is one."""
-    from_shared = getattr(task, "from_shared", None)
-    if from_shared is None:
-        return task, []
-    try:
-        return from_shared()
-    except Exception:
-        return task, []
-
-
 def _run_task(
     fn: Callable[[Any], Any],
     task: Any,
@@ -207,22 +139,6 @@ def _run_task(
     needs to merge: the metrics registry export, finished span trees,
     the profiler snapshot, and the flight recorder's retained records.
     """
-    task, handles = _resolve_shared(task)
-    try:
-        return _run_task_resolved(fn, task, capture)
-    finally:
-        for handle in handles:
-            try:
-                handle.close()
-            except OSError:
-                pass
-
-
-def _run_task_resolved(
-    fn: Callable[[Any], Any],
-    task: Any,
-    capture: Optional[Dict[str, Any]],
-) -> Any:
     if capture is None:
         return fn(task), None
     with state.session(
@@ -315,17 +231,14 @@ def run_trials(
     if pool is None:
         return [fn(task) for task in tasks]
     capture = _build_capture()
-    stubs, segments = _export_shared(tasks)
     try:
         futures = [
-            pool.submit(_run_task, fn, stub, capture) for stub in stubs
+            pool.submit(_run_task, fn, task, capture) for task in tasks
         ]
         outcomes = [f.result() for f in futures]
     except BrokenProcessPool:
         shutdown_pool()
         return [fn(task) for task in tasks]
-    finally:
-        _release_segments(segments)
     results: List[Any] = []
     for result, payload in outcomes:
         if payload is not None:
@@ -521,92 +434,84 @@ def run_trials_supervised(
         return report
 
     capture = _build_capture()
-    # Segments must outlive every retry round: a crashed worker's task
-    # is resubmitted as the same stub, so the parent only releases after
-    # the loop settles every task (result, dead letter, or serial
-    # fallback — which uses the original inline tasks).
-    stubs, segments = _export_shared(tasks)
     payloads: Dict[int, Optional[Dict[str, Any]]] = {}
     last_kind: Dict[int, str] = {}
-    try:
-        while pending:
-            for index in sorted(pending):
-                if pending[index] >= max_attempts:
-                    _dead_letter(report, index, tasks[index],
-                                 last_kind.get(index), pending[index])
-                    del pending[index]
-            if not pending:
-                break
-            pool = ensure_pool(workers)
-            if pool is None:
-                # The platform can no longer provide a pool: finish
-                # serially.
-                _supervise_inline(fn, tasks, report, pending, action_for,
-                                  max_attempts)
-                break
-            futures = {}
-            submitted_kind: Dict[int, Optional[str]] = {}
-            broken = False
-            for index in sorted(pending):
-                action = action_for(index, pending[index])
-                kind = action[0] if action else None
-                stall_s = action[1] if (action and kind == "stall") else 0.0
-                submitted_kind[index] = kind
-                try:
-                    futures[index] = pool.submit(
-                        _run_supervised_task, fn, stubs[index], capture,
-                        kind, stall_s,
-                    )
-                except (BrokenProcessPool, OSError, RuntimeError):
-                    # A crasher submitted earlier in this round can kill
-                    # its worker before we finish submitting; the pool
-                    # then rejects further work.  Stop submitting and let
-                    # the normal broken-pool recovery handle the round.
-                    broken = True
-                    break
-            for index in sorted(futures):
-                try:
-                    result, payload = futures[index].result(
-                        timeout=0.05 if broken else stall_timeout_s
-                    )
-                except FutureTimeoutError:
-                    if broken:
-                        continue
-                    report.stalls += 1
-                    report.retries += 1
-                    obs.counter("engine.worker.stalls").inc()
-                    last_kind[index] = "worker_stall"
-                    pending[index] += 1
-                    continue
-                except BrokenProcessPool:
-                    broken = True
-                    continue
-                except OSError:
-                    broken = True
-                    continue
-                report.results[index] = result
-                payloads[index] = payload
+    while pending:
+        for index in sorted(pending):
+            if pending[index] >= max_attempts:
+                _dead_letter(report, index, tasks[index],
+                             last_kind.get(index), pending[index])
                 del pending[index]
-            if broken:
-                shutdown_pool()
-                report.restarts += 1
-                obs.counter("engine.worker.restarts").inc()
-                # Blame the attempts the plan marked as crashers; a
-                # genuine (un-injected) pool break blames every
-                # unfinished task so the loop always makes progress
-                # toward retry-or-dead-letter.
-                blamed = [
-                    index for index in sorted(pending)
-                    if submitted_kind.get(index) == "crash"
-                ] or sorted(pending)
-                for index in blamed:
-                    report.crashes += 1
-                    obs.counter("engine.worker.crashes").inc()
-                    last_kind[index] = "worker_crash"
-                    pending[index] += 1
-                    report.retries += 1
-    finally:
-        _release_segments(segments)
+        if not pending:
+            break
+        pool = ensure_pool(workers)
+        if pool is None:
+            # The platform can no longer provide a pool: finish
+            # serially.
+            _supervise_inline(fn, tasks, report, pending, action_for,
+                              max_attempts)
+            break
+        futures = {}
+        submitted_kind: Dict[int, Optional[str]] = {}
+        broken = False
+        for index in sorted(pending):
+            action = action_for(index, pending[index])
+            kind = action[0] if action else None
+            stall_s = action[1] if (action and kind == "stall") else 0.0
+            submitted_kind[index] = kind
+            try:
+                futures[index] = pool.submit(
+                    _run_supervised_task, fn, tasks[index], capture,
+                    kind, stall_s,
+                )
+            except (BrokenProcessPool, OSError, RuntimeError):
+                # A crasher submitted earlier in this round can kill
+                # its worker before we finish submitting; the pool
+                # then rejects further work.  Stop submitting and let
+                # the normal broken-pool recovery handle the round.
+                broken = True
+                break
+        for index in sorted(futures):
+            try:
+                result, payload = futures[index].result(
+                    timeout=0.05 if broken else stall_timeout_s
+                )
+            except FutureTimeoutError:
+                if broken:
+                    continue
+                report.stalls += 1
+                report.retries += 1
+                obs.counter("engine.worker.stalls").inc()
+                last_kind[index] = "worker_stall"
+                pending[index] += 1
+                continue
+            except BrokenProcessPool:
+                broken = True
+                continue
+            except OSError:
+                broken = True
+                continue
+            report.results[index] = result
+            payloads[index] = payload
+            del pending[index]
+        if broken:
+            shutdown_pool()
+            report.restarts += 1
+            obs.counter("engine.worker.restarts").inc()
+            # Blame the attempts the plan marked as crashers; a
+            # genuine (un-injected) pool break blames every
+            # unfinished task so the loop always makes progress
+            # toward retry-or-dead-letter.
+            blamed = [
+                index for index in sorted(pending)
+                if submitted_kind.get(index) == "crash"
+            ] or sorted(pending)
+            for index in blamed:
+                report.crashes += 1
+                obs.counter("engine.worker.crashes").inc()
+                last_kind[index] = "worker_crash"
+                pending[index] += 1
+                report.retries += 1
     for index in sorted(payloads):
         payload = payloads[index]
         if payload is not None:

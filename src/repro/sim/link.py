@@ -36,7 +36,7 @@ from repro.faults.base import FaultPlan
 from repro.phy.envelope import EnvelopeSynthesizer
 from repro.sim import calibration, engine
 from repro.sim.calibration import CalibratedParameters, DEFAULTS
-from repro.measurement import MeasurementStream
+from repro.measurement import MeasurementStream, merge_streams
 from repro.sim.metrics import BerResult, bit_errors
 from repro.sim.seeding import DEFAULT_SEED, resolve_rng
 from repro.tag.modulator import TagModulator, random_payload
@@ -209,7 +209,7 @@ def simulate_uplink_stream(
                 "fault injection dropped every helper packet; nothing "
                 "reached the reader"
             )
-    states = np.array([modulator.state(t) for t in times])
+    states = modulator.states(times)
     if active:
         powered = faults.tag_powered_mask(times)
         if recording:
@@ -224,27 +224,16 @@ def simulate_uplink_stream(
                 "tag browned out for the entire transmission"
             )
         states = np.where(powered, states, 0)
-    true_h = channel.response_batch(times, states)
-    records = card.measure_batch(true_h, times)
+    stream = card.measure_batch(channel.response_batch(times, states), times)
     if active:
-        corrupted = faults.corrupt_records(records)
+        stream, touched = faults.corrupt_records(stream)
         if recording:
-            # corrupt_measurement returns the *same* object when a
-            # record passed through untouched, so identity comparison
-            # is exact corruption evidence.
-            touched = [
-                i for i, (a, b) in enumerate(zip(records, corrupted))
-                if b is not a
-            ]
             forensics.stage(
                 "faults",
                 corrupted_units=_fault_units(
                     times[touched], tx_start, bit_duration_s, len(bits)
                 ),
             )
-        records = corrupted
-    stream = MeasurementStream()
-    stream.extend(records)
     return stream, tx_start
 
 
@@ -883,24 +872,20 @@ def simulate_multi_helper_stream(
             times = times[keep]
             if len(times) == 0:
                 continue  # this helper was wiped out; others may survive
-        states = np.array([modulator.state(t) for t in times])
+        states = modulator.states(times)
         if active:
             powered = faults.tag_powered_mask(times)
             states = np.where(powered, states, 0)
-        records = card.measure_batch(
+        part = card.measure_batch(
             channel.response_batch(times, states), times, source=name
         )
         if active:
-            records = faults.corrupt_records(records)
-        part = MeasurementStream()
-        part.extend(records)
+            part, _ = faults.corrupt_records(part)
         streams.append(part)
     if not streams:
         raise DecodeError(
             "fault injection dropped every packet from every helper"
         )
-    from repro.measurement import merge_streams
-
     return merge_streams(streams), tx_start
 
 

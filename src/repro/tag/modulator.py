@@ -115,6 +115,20 @@ class TagModulator:
             return self.idle_state
         return self._bits[idx]
 
+    def states(self, times_s: Sequence[float]) -> np.ndarray:
+        """Switch states at many times: :meth:`state` as one array pass.
+
+        The same floor over the bit grid, element for element.
+        """
+        times = np.asarray(times_s, dtype=float)
+        out = np.full(times.shape, self.idle_state, dtype=int)
+        if self._start_s is None:
+            return out
+        idx = np.floor((times - self._start_s) / self.effective_bit_duration_s)
+        inside = (idx >= 0) & (idx < len(self._bits))
+        out[inside] = np.asarray(self._bits)[idx[inside].astype(int)]
+        return out
+
     def energy_used_j(self) -> float:
         """Transmit-circuit energy for the armed transmission."""
         if self._start_s is None:

@@ -30,24 +30,12 @@ def save_stream(stream: MeasurementStream, path: Union[str, Path]) -> None:
     """
     path = Path(path)
     n = len(stream)
-    timestamps = stream.timestamps
-    rssi = stream.rssi_matrix() if n else np.empty((0, 0))
-    has_csi = np.array([m.has_csi for m in stream], dtype=bool)
-    sources = np.array([m.source for m in stream], dtype=object)
+    has_csi = stream.has_csi
     csi_shape = None
     csi_data = np.empty((0,))
-    if n and has_csi.any():
-        first = next(m for m in stream if m.has_csi)
-        csi_shape = first.csi.shape
-        stacked = np.zeros((n,) + csi_shape)
-        for i, m in enumerate(stream):
-            if m.has_csi:
-                if m.csi.shape != csi_shape:
-                    raise TraceFormatError(
-                        f"inconsistent CSI shapes: {m.csi.shape} vs {csi_shape}"
-                    )
-                stacked[i] = m.csi
-        csi_data = stacked
+    if has_csi.any():
+        csi_shape = stream.csi.shape[1:]
+        csi_data = np.where(has_csi[:, None, None], stream.csi, 0.0)
     meta = {
         "version": FORMAT_VERSION,
         "count": n,
@@ -56,10 +44,10 @@ def save_stream(stream: MeasurementStream, path: Union[str, Path]) -> None:
     np.savez_compressed(
         path,
         meta=json.dumps(meta),
-        timestamps=timestamps,
-        rssi=rssi,
+        timestamps=stream.timestamps,
+        rssi=stream.rssi_matrix(),
         has_csi=has_csi,
-        sources=sources.astype("U32") if n else np.empty((0,), dtype="U32"),
+        sources=stream.sources.astype("U32"),
         csi=csi_data,
     )
 

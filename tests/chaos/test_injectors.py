@@ -21,6 +21,8 @@ from repro.faults import (
     format_fault_plan,
     parse_fault_spec,
 )
+from repro import obs
+from repro.measurement import ChannelMeasurement, MeasurementStream
 from repro.sim.link import run_uplink_ber
 from repro.sim.seeding import resolve_rng
 
@@ -168,6 +170,58 @@ class TestIndividualInjectors:
         b, _ = inj.corrupt(csi, np.zeros(3), float(t) + 1e-4)
         assert np.array_equal(np.isnan(a), np.isnan(b))
         assert np.isnan(a).sum() == round(0.2 * csi.size)
+
+
+class TestStreamCorruption:
+    """corrupt_records over a stream's arrays == corrupt_measurement
+    record by record, and its touched mask == the records that changed."""
+
+    @pytest.mark.parametrize("spec", [
+        "csi_dropout:duty=0.3,burst=0.05,frac=0.5;nan:prob=0.05;"
+        "agc_jump:prob=0.05",
+        "interference:duty=0.3,burst=0.05;drift:ppm=80,jitter=0.0005",
+        "outage:duty=0.2,burst=0.05;brownout:duty=0.2,burst=0.05",
+    ])
+    def test_matches_per_record_path(self, spec):
+        rng = np.random.default_rng(4)
+        rows = [
+            ChannelMeasurement(
+                timestamp_s=float(t),
+                csi=None if i % 7 == 3 else rng.uniform(0.0, 8.0, (3, 30)),
+                rssi_dbm=rng.normal(-40.0, 1.0, 3),
+                source="ap" if i % 5 else "sta",
+            )
+            for i, t in enumerate(np.sort(rng.uniform(0.0, 0.5, 300)))
+        ]
+        stream = MeasurementStream(rows)
+        with obs.session(metrics=True, tracing=False) as (registry, _):
+            out, touched = parse_fault_spec(spec, base_seed=9) \
+                .corrupt_records(stream)
+            arrays = registry.snapshot()
+        with obs.session(metrics=True, tracing=False) as (registry, _):
+            twin = parse_fault_spec(spec, base_seed=9)
+            expected, changed, last = [], [], -np.inf
+            for row in rows:
+                new = twin.corrupt_measurement(row)
+                t = max(new.timestamp_s, last)
+                changed.append(new is not row or t != new.timestamp_s)
+                expected.append(ChannelMeasurement(
+                    timestamp_s=t, csi=new.csi, rssi_dbm=new.rssi_dbm,
+                    source=new.source,
+                ))
+                last = t
+            records = registry.snapshot()
+        expected = MeasurementStream(expected)
+        assert touched.tolist() == changed
+        assert arrays == records
+        assert np.array_equal(out.timestamps, expected.timestamps)
+        assert np.array_equal(out.has_csi, expected.has_csi)
+        assert np.array_equal(out.sources, expected.sources)
+        assert np.array_equal(out.rssi_matrix(), expected.rssi_matrix())
+        assert np.array_equal(out.csi[out.has_csi],
+                              expected.csi[expected.has_csi], equal_nan=True)
+        if not any(changed):
+            assert out is stream
 
 
 class TestSpecParsing:

@@ -16,7 +16,6 @@ from repro.core.uplink_decoder import UplinkDecoder
 from repro.errors import CrcError, DecodeError, PreambleNotFound, ReproError
 from repro.hardware.intel5300 import Intel5300
 from repro.hardware.rssi import RssiModel
-from repro.measurement import MeasurementStream
 from repro.phy.noise import SpuriousGlitchModel
 from repro.sim import calibration
 from repro.sim.link import helper_packet_times
@@ -35,10 +34,8 @@ def stream_with_card(card, payload_bits, seed=0, distance=0.1, bit_s=0.01,
     tx_start = float(times[0]) + 0.45
     modulator.load_bits(bits, tx_start)
     channel = calibration.make_channel(distance, rng=rng)
-    states = np.array([modulator.state(t) for t in times])
-    records = card.measure_batch(channel.response_batch(times, states), times)
-    stream = MeasurementStream()
-    stream.extend(records)
+    states = modulator.states(times)
+    stream = card.measure_batch(channel.response_batch(times, states), times)
     return stream, tx_start
 
 
@@ -168,12 +165,9 @@ class TestTagClockDrift:
         modulator.load_bits(bits, tx_start)
         channel = calibration.make_channel(0.05, rng=rng)
         card = calibration.make_card(rng=rng)
-        states = np.array([modulator.state(t) for t in times])
-        records = card.measure_batch(
-            channel.response_batch(times, states), times
+        stream = card.measure_batch(
+            channel.response_batch(times, modulator.states(times)), times
         )
-        stream = MeasurementStream()
-        stream.extend(records)
         result = UplinkDecoder().decode_bits(
             stream, len(payload), bit_s, start_time_s=tx_start
         )

@@ -16,12 +16,7 @@ import pytest
 
 from repro import obs
 from repro.core.barker import barker_bits
-from repro.core.batch import (
-    BatchDecodeTask,
-    BatchItem,
-    BatchedUplinkDecoder,
-    run_batch_decode_task,
-)
+from repro.core.batch import BatchItem, BatchedUplinkDecoder
 from repro.core.uplink_decoder import UplinkDecoder
 from repro.faults.spec import parse_fault_spec
 from repro.measurement import ChannelMeasurement, MeasurementStream
@@ -207,53 +202,3 @@ class TestErrorPaths:
         outcomes = BatchedUplinkDecoder().decode_batch([bad])
         assert not outcomes[0].ok
         assert "num_bits must be >= 1" in str(outcomes[0].error)
-
-
-class TestBatchDecodeTask:
-    def _task_and_reference(self):
-        items = [make_item(s)[0] for s in range(4)]
-        decoder = BatchedUplinkDecoder()
-        task = BatchDecodeTask.pack(items, decoder)
-        reference = decoder.decode_batch(items)
-        return task, reference
-
-    def test_rows_match_decode_batch(self):
-        task, reference = self._task_and_reference()
-        rows = run_batch_decode_task(task)
-        assert len(rows) == len(reference)
-        for row, ref in zip(rows, reference):
-            assert row["ok"] == ref.ok
-            assert row["bits"] == ref.result.bits.tolist()
-            assert row["mode"] == ref.result.mode
-
-    def test_shared_memory_round_trip(self):
-        task, reference = self._task_and_reference()
-        stub, segments = task.to_shared()
-        try:
-            if not segments:
-                pytest.skip("shared memory unavailable on this platform")
-            # The stub carries descriptors, not arrays.
-            assert stub.matrices is None and stub.timestamps is None
-            assert stub.shared_refs
-            resolved, handles = BatchDecodeTask.from_shared(stub)
-            try:
-                assert np.array_equal(resolved.matrices, task.matrices)
-                assert np.array_equal(resolved.timestamps, task.timestamps)
-                rows = run_batch_decode_task(resolved)
-                assert [r["bits"] for r in rows] == [
-                    ref.result.bits.tolist() for ref in reference
-                ]
-            finally:
-                for handle in handles:
-                    handle.close()
-        finally:
-            for segment in segments:
-                segment.close()
-                segment.unlink()
-
-    def test_engine_inline_fallback_without_shared(self):
-        # A task with inline arrays decodes identically when the shm
-        # hooks are never invoked (serial engine path).
-        task, reference = self._task_and_reference()
-        rows = run_batch_decode_task(task)
-        assert [r["ok"] for r in rows] == [ref.ok for ref in reference]

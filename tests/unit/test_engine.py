@@ -262,78 +262,3 @@ class TestPayloadRoundTrips:
         snap = dst.snapshot()
         assert snap["stage"]["calls"] == 2
         assert snap["stage"]["ops"] == 20
-
-
-class TestSharedMemoryTransfer:
-    """Zero-copy CSI transfer: tasks with to_shared/from_shared hooks."""
-
-    def _batch_task(self, n_items=4):
-        from repro.core.batch import (
-            BatchDecodeTask, BatchItem, BatchedUplinkDecoder,
-        )
-        from repro.sim.link import synthesize_uplink_trial
-
-        items = []
-        for k in range(n_items):
-            rng = np.random.default_rng(
-                np.random.SeedSequence(entropy=(40 + k, 11))
-            )
-            _, stream, tx_start = synthesize_uplink_trial(
-                0.05, 2.0, num_payload_bits=8, bit_rate_bps=3.0, rng=rng
-            )
-            items.append(BatchItem(
-                stream=stream, num_bits=8, bit_duration_s=1.0 / 3.0,
-                mode="csi", start_time_s=tx_start,
-            ))
-        return BatchDecodeTask.pack(items, BatchedUplinkDecoder())
-
-    def test_export_resolve_round_trip(self):
-        task = self._batch_task()
-        stubs, segments = engine._export_shared([task])
-        try:
-            if not segments:
-                pytest.skip("shared memory unavailable")
-            assert stubs[0].matrices is None
-            resolved, handles = engine._resolve_shared(stubs[0])
-            try:
-                assert np.array_equal(resolved.matrices, task.matrices)
-                assert np.array_equal(resolved.timestamps, task.timestamps)
-            finally:
-                for handle in handles:
-                    handle.close()
-        finally:
-            engine._release_segments(segments)
-
-    def test_release_unlinks_segments(self):
-        from multiprocessing import shared_memory
-
-        task = self._batch_task()
-        stubs, segments = engine._export_shared([task])
-        if not segments:
-            pytest.skip("shared memory unavailable")
-        names = [ref.name for ref in stubs[0].shared_refs]
-        engine._release_segments(segments)
-        for name in names:
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
-        # Releasing twice must not raise.
-        engine._release_segments(segments)
-
-    def test_pooled_matches_serial_decode(self):
-        from repro.core.batch import run_batch_decode_task
-
-        task = self._batch_task()
-        serial = engine.run_trials(run_batch_decode_task, [task], workers=1)
-        pooled = engine.run_trials(
-            run_batch_decode_task, [task], workers=WORKERS
-        )
-        assert pooled == serial
-        assert all(row["ok"] for row in pooled[0])
-
-    def test_plain_tasks_skip_shared_export(self):
-        # Tasks without the protocol hooks pass through untouched.
-        stubs, segments = engine._export_shared([1, 2, 3])
-        assert stubs == [1, 2, 3]
-        assert segments == []
-        resolved, handles = engine._resolve_shared(7)
-        assert resolved == 7 and handles == []

@@ -99,7 +99,32 @@ class TestTemporalDrift:
         seq = np.array([d1.sample(t) for t in times])
         d2 = TemporalDrift(rng=np.random.default_rng(7))
         batch = d2.sample_batch(times)
-        assert np.allclose(seq, batch)
+        assert np.array_equal(seq, batch)
+
+    def test_batch_continues_sequential_state_exactly(self):
+        times = np.cumsum(np.random.default_rng(1).exponential(1e-3, 3000))
+        d1 = TemporalDrift(rng=np.random.default_rng(9))
+        seq = np.array([d1.sample(t) for t in times])
+        d2 = TemporalDrift(rng=np.random.default_rng(9))
+        head = [d2.sample(t) for t in times[:10]]
+        batch = np.concatenate([head, d2.sample_batch(times[10:1500]),
+                                d2.sample_batch(times[1500:])])
+        assert np.array_equal(seq, batch)
+        assert d2.sample(times[-1] + 0.5) == d1.sample(times[-1] + 0.5)
+
+    def test_batch_rejects_time_reversal_like_sample(self, rng):
+        times = np.array([0.0, 0.1, 0.3, 0.2, 0.4])
+        scalar = TemporalDrift(rng=rng)
+        with pytest.raises(ConfigurationError) as seq_err:
+            for t in times:
+                scalar.sample(float(t))
+        with pytest.raises(ConfigurationError) as batch_err:
+            TemporalDrift(rng=rng).sample_batch(times)
+        assert str(batch_err.value) == str(seq_err.value)
+        drift = TemporalDrift(rng=rng)
+        drift.sample_batch(np.array([1.0, 2.0]))
+        with pytest.raises(ConfigurationError, match="2.0"):
+            drift.sample_batch(np.array([1.5]))
 
     def test_invalid_parameters(self):
         with pytest.raises(ConfigurationError):

@@ -89,7 +89,19 @@ class TestAgc:
         seq = [a1.next_gain() for _ in range(50)]
         a2 = AgcModel(rng=np.random.default_rng(5))
         batch = a2.next_gains(50)
-        assert np.allclose(seq, batch)
+        assert np.array_equal(seq, batch)
+
+    @pytest.mark.parametrize("step_db", [0.5, 0.0])
+    def test_long_batches_match_sequential_exactly(self, step_db):
+        a1 = AgcModel(step_db=step_db, wander_std_db=0.3,
+                      rng=np.random.default_rng(6))
+        seq = [a1.next_gain() for _ in range(4000)]
+        a2 = AgcModel(step_db=step_db, wander_std_db=0.3,
+                      rng=np.random.default_rng(6))
+        batch = np.concatenate([a2.next_gains(2500), a2.next_gains(0),
+                                a2.next_gains(1500)])
+        assert np.array_equal(seq, batch)
+        assert a2.next_gain() == a1.next_gain()
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):

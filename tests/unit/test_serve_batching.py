@@ -1,7 +1,7 @@
 """Gateway micro-batching: coalescing, accounting, span annotation.
 
 With ``batch_max`` set the gateway coalesces queued requests into one
-``BatchDecodeTask`` per dispatch.  The contract: delivered payloads
+``ServeBatchTask`` per dispatch.  The contract: delivered payloads
 are identical to the per-request path, shed/deadline accounting is
 untouched, every dispatch span carries the batch annotation, and the
 report's batch aggregates describe what actually shipped.

@@ -74,6 +74,24 @@ class TestModulator:
         # on bit 0.
         assert mod.state(0.0102) == 1
 
+    @pytest.mark.parametrize("skew_ppm", [0.0, 20_000.0, -35_000.0])
+    @pytest.mark.parametrize("idle_state", [0, 1])
+    def test_states_match_state_exactly(self, skew_ppm, idle_state):
+        rng = np.random.default_rng(3)
+        mod = TagModulator(bit_duration_s=0.01, clock_skew_ppm=skew_ppm,
+                           idle_state=idle_state)
+        times = np.sort(rng.uniform(0.0, 1.0, size=2000))
+        assert np.array_equal(mod.states(times), [idle_state] * len(times))
+        mod.load_bits(random_payload(40, rng), start_time_s=0.3)
+        # Cover idle before and after the frame and every bit edge.
+        edges = 0.3 + np.arange(41) * mod.effective_bit_duration_s
+        times = np.sort(np.concatenate([times, edges, np.nextafter(edges, 0)]))
+        expected = [mod.state(t) for t in times]
+        got = mod.states(times)
+        assert got.dtype.kind == "i"
+        assert got.tolist() == expected
+        assert got[0] == got[-1] == idle_state
+
     def test_load_frame(self):
         mod = TagModulator()
         frame = UplinkFrame(payload_bits=(1, 0, 1, 1))
