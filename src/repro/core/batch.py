@@ -6,9 +6,9 @@ This module stacks K packets' conditioned CSI streams into one
 ``(K, samples, channels)`` ndarray and runs the pipeline across the
 whole batch:
 
-* moving-average conditioning via one batched ``cumsum`` over the
-  packed array (window gathers fused through ``np.take`` into reusable
-  scratch buffers),
+* moving-average conditioning via one batched prefix sum over the
+  packed array, with the window gathers written straight into reusable
+  scratch buffers,
 * preamble search through
   :func:`repro.core.subchannel.correlation_matrix_batch`,
 * expected-chip evaluation as one elementwise pass over the packed
@@ -16,9 +16,9 @@ whole batch:
 * top-``good_count`` sub-channel selection via ``argpartition``,
 * noise-variance-weighted MRC with the weight math batched across the
   selected sub-channels of every packet at once,
-* hysteresis slicing as a batched forward-fill
-  (``np.maximum.accumulate``), and
-* majority voting via ``np.add.at`` scatter-adds.
+* hysteresis slicing and majority voting through the scalar slicer's
+  own array kernels (a forward-fill of the last decision and a
+  ``bincount`` vote), run over the whole packed group.
 
 **Bit-identity contract.**  Every decode produced here is bitwise
 identical to the scalar pipeline — bits, margins, selected
@@ -104,10 +104,10 @@ def _chip_table(preamble_bits: Tuple[float, ...]) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _index_grid(n: int) -> np.ndarray:
-    """Read-only ``arange(n)`` row used by the batched forward-fill.
+    """Read-only ``arange(n)``: lane row indices and flat row offsets.
 
-    One grid per padded batch width; cached because serve micro-batches
-    re-use the same shapes continuously.
+    Cached because serve micro-batches re-use the same shapes
+    continuously.
     """
     grid = np.arange(n)
     grid.flags.writeable = False
@@ -186,6 +186,18 @@ class _Lane:
     @property
     def live(self) -> bool:
         return self.error is None
+
+
+def _take_rows(source: np.ndarray, index: np.ndarray, out: np.ndarray) -> None:
+    """``out[:] = source[index]`` along axis 0, written straight into ``out``.
+
+    ``np.take`` in its default ``raise`` mode writes through a temporary
+    buffer when given ``out``; ``clip`` mode writes in place.  So the
+    bounds are checked here and an out-of-range index stays an error.
+    """
+    if index.size and (index.min() < 0 or index.max() >= len(source)):
+        raise IndexError(f"row index out of bounds for {len(source)} rows")
+    np.take(source, index, axis=0, out=out, mode="clip")
 
 
 def _select_good(correlations: np.ndarray, count: int) -> np.ndarray:
@@ -359,18 +371,14 @@ class BatchedUplinkDecoder:
                 values[slot, lane.n:] = 0.0
                 times[slot, lane.n:] = np.inf
 
-        # Stage 1: conditioning.  One batched cumsum provides every
-        # lane's prefix sums; window gathers run through np.take into
-        # scratch, and the scale reduction batches over the (strided)
-        # sample axis — or falls back to per-lane views when ragged.
-        prefix = buf["prefix"]
-        prefix[:, 0] = 0.0
-        np.cumsum(values, axis=1, out=prefix[:, 1:])
-        half = cfg.window_s / 2.0
+        # Stage 1: conditioning.  Equal lengths batch the whole stage:
+        # one prefix sum, window gathers straight into scratch, and the
+        # scale reduction over the (strided) sample axis.  Ragged
+        # groups run the scalar kernel per lane.
         if uniform:
-            self._condition_uniform(lanes, buf, half)
+            self._condition_uniform(lanes, buf, cfg.window_s / 2.0)
         else:
-            self._condition_ragged(lanes, buf, half)
+            self._condition_ragged(lanes, buf, cfg.window_s)
         normalized = buf["normalized"]
         for lane in lanes:
             lane.normalized = normalized[lane.slot, :lane.n]
@@ -400,9 +408,9 @@ class BatchedUplinkDecoder:
         # length-uniform (threshold mean/std).
         self._combine_group(lanes, buf, uniform, gathered, recording)
 
-        # Stage 5: hysteresis slicing, batched as a forward-fill of the
-        # last defined decision (integer-exact), then span checks and
-        # one scatter-add majority vote across the group.
+        # Stage 5: hysteresis slicing over the whole group, then span
+        # checks and one majority vote across the group (both through
+        # the slicer's integer-exact kernels).
         decisions = self._hysteresis(lanes, buf)
         preamble = cfg.preamble_bits
         for lane in lanes:
@@ -449,6 +457,8 @@ class BatchedUplinkDecoder:
         """Moving-average conditioning, fully batched (equal lengths)."""
         values, prefix = buf["values"], buf["prefix"]
         k_count, n_max, channels = values.shape
+        prefix[:, 0] = 0.0
+        conditioning._prefix_sum(values, prefix[:, 1:])
         times = buf["times"]
         if bool((times == times[0]).all()):
             # One helper schedule shared by the whole batch (the serve
@@ -469,10 +479,8 @@ class BatchedUplinkDecoder:
         flat = prefix.reshape(-1, channels)
         offsets = (_index_grid(k_count) * (n_max + 1))[:, None]
         work, mag = buf["buf_a"], buf["buf_b"]
-        np.take(flat, (hi + offsets).ravel(), axis=0,
-                out=work.reshape(-1, channels))
-        np.take(flat, (lo + offsets).ravel(), axis=0,
-                out=mag.reshape(-1, channels))
+        _take_rows(flat, (hi + offsets).ravel(), work.reshape(-1, channels))
+        _take_rows(flat, (lo + offsets).ravel(), mag.reshape(-1, channels))
         np.subtract(work, mag, out=work)
         counts = (hi - lo).astype(float)
         np.divide(work, counts[:, :, None], out=work)       # baseline
@@ -483,22 +491,14 @@ class BatchedUplinkDecoder:
         np.divide(work, safe[:, None, :], out=buf["normalized"])
 
     def _condition_ragged(
-        self, lanes: List[_Lane], buf: Dict[str, np.ndarray], half: float
+        self, lanes: List[_Lane], buf: Dict[str, np.ndarray], window_s: float
     ) -> None:
-        """Per-lane conditioning on views (ragged packet counts)."""
-        values, prefix = buf["values"], buf["prefix"]
-        normalized = buf["normalized"]
+        """Per-lane conditioning with the scalar kernel (ragged counts)."""
+        values, normalized = buf["values"], buf["normalized"]
         for lane in lanes:
-            ts = lane.timestamps
-            lo = np.searchsorted(ts, ts - half, side="left")
-            hi = np.searchsorted(ts, ts + half, side="right")
-            csum = prefix[lane.slot]
-            counts = (hi - lo).astype(float)
-            baseline = (csum[hi] - csum[lo]) / counts[:, None]
-            zero_mean = values[lane.slot, :lane.n] - baseline
-            scale = np.abs(zero_mean).mean(axis=0)
-            safe = np.where(scale > 0, scale, 1.0)
-            normalized[lane.slot, :lane.n] = zero_mean / safe
+            normalized[lane.slot, :lane.n] = conditioning._normalize(
+                values[lane.slot, :lane.n], lane.timestamps, window_s
+            )[0]
             # Scan correlation prefix-sums over the packed rows, so the
             # padding must stay zero.
             normalized[lane.slot, lane.n:] = 0.0
@@ -620,7 +620,7 @@ class BatchedUplinkDecoder:
         so one gather serves both stages.  When every live lane selects
         the same number of preamble rows (the common case: one helper
         schedule shared across the batch), the gathers fuse into a
-        single flat ``np.take`` and the per-row views land in one
+        single flat row gather and the per-row views land in one
         ``(lanes, rows, channels)`` block — returned so the correlation
         and variance reductions can batch over it (axis-1 reductions
         match the per-lane axis-0 ones bitwise).
@@ -645,10 +645,8 @@ class BatchedUplinkDecoder:
         m = live_counts.pop()
         flat_idx = np.flatnonzero(mask)
         sel = self._scratch_block("sel", (len(live), m, channels))
-        np.take(
-            normalized.reshape(-1, channels), flat_idx, axis=0,
-            out=sel.reshape(-1, channels),
-        )
+        _take_rows(normalized.reshape(-1, channels), flat_idx,
+                   sel.reshape(-1, channels))
         sel_chips = chips.reshape(-1).take(flat_idx).reshape(
             len(live), m
         )
@@ -917,32 +915,22 @@ class BatchedUplinkDecoder:
     def _hysteresis(
         self, lanes: List[_Lane], buf: Dict[str, np.ndarray]
     ) -> np.ndarray:
-        """Batched hysteresis_slice: forward-fill the last decision.
+        """hysteresis_slice for every lane at once (initial state 0).
 
-        A sample above ``high`` decides 1, below ``low`` decides 0, and
-        dead-band samples repeat the previous decision — i.e. each
-        output is the decision at the last *defined* sample, or the
-        initial state 0.  ``np.maximum.accumulate`` over the defined
-        indices computes exactly that, in integers.
+        Padding and dead lanes compare against NaN thresholds, so they
+        never clear one and decide 0.
         """
         combined = buf["combined"]
-        k_count, n_max = combined.shape
+        k_count = combined.shape[0]
         low = np.full(k_count, np.nan)
         high = np.full(k_count, np.nan)
         for lane in lanes:
             if lane.live:
                 low[lane.slot] = lane.thresholds.low
                 high[lane.slot] = lane.thresholds.high
-        with np.errstate(invalid="ignore"):
-            up = combined > high[:, None]
-            down = combined < low[:, None]
-        defined = up | down
-        val = up.astype(int)
-        grid = _index_grid(n_max)
-        idx = np.where(defined, grid[None, :], -1)
-        last = np.maximum.accumulate(idx, axis=1)
-        filled = val[_index_grid(k_count)[:, None], np.maximum(last, 0)]
-        return np.where(last >= 0, filled, 0)
+        return slicer._forward_fill(
+            combined > high[:, None], combined < low[:, None]
+        )
 
     def _majority_vote(
         self,
@@ -950,7 +938,11 @@ class BatchedUplinkDecoder:
         decisions: np.ndarray,
         times: np.ndarray,
     ) -> None:
-        """Batched majority_vote_bits via scatter-adds (integer exact)."""
+        """majority_vote_bits for every live lane with one vote pass.
+
+        Each lane's bins get their own block of ``nb_max`` slots in one
+        flat bit index, so a single majority pass covers the group.
+        """
         live = [lane for lane in lanes if lane.live]
         if not live:
             return
@@ -966,17 +958,13 @@ class BatchedUplinkDecoder:
         with np.errstate(invalid="ignore"):
             bin_idx = np.floor((times - starts[:, None]) / bits_d[:, None])
             valid = (bin_idx >= 0) & (bin_idx < nbits[:, None])
-        gather = np.where(valid, bin_idx, 0).astype(int)
         rows = np.nonzero(valid)
-        flat = rows[0] * nb_max + gather[rows]
-        size = k_count * nb_max
-        # bincount instead of np.add.at: float64 sums of small ints are
-        # exact, and bincount's single pass is ~10x the scatter's speed.
-        ones = np.bincount(
-            flat, weights=decisions[rows], minlength=size
-        ).astype(int).reshape(k_count, nb_max)
-        support = np.bincount(flat, minlength=size).reshape(k_count, nb_max)
-        bit_out = np.where(support >= 1, (2 * ones >= support).astype(int), 0)
+        flat = rows[0] * nb_max + bin_idx[rows].astype(np.intp)
+        bit_out, support, _ = slicer._majority(
+            flat, decisions[rows], k_count * nb_max
+        )
+        bit_out = bit_out.reshape(k_count, nb_max)
+        support = support.reshape(k_count, nb_max)
         for lane in live:
             nb = lane.num_bits
             support_k = support[lane.slot, :nb]

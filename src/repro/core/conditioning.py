@@ -29,6 +29,9 @@ DEFAULT_WINDOW_S = 0.4
 #: Non-finite sample policies accepted by :func:`sanitize`.
 NONFINITE_POLICIES = ("reject", "repair", "propagate")
 
+#: Cells per block of the moving-average pass (512 KB of float64).
+_BLOCK_CELLS = 1 << 16
+
 
 def sanitize(
     values: np.ndarray, policy: str = "reject"
@@ -63,7 +66,7 @@ def sanitize(
         )
     values = np.asarray(values, dtype=float)
     bad = ~np.isfinite(values)
-    count = int(bad.sum())
+    count = int(np.count_nonzero(bad))
     if count == 0 or policy == "propagate":
         return values, count
     if policy == "reject":
@@ -101,6 +104,24 @@ def moving_average_by_time(
     Returns:
         Matrix of the same shape holding the local means.
     """
+    return _moving_average(values, timestamps_s, window_s)[0]
+
+
+def _moving_average(
+    values: np.ndarray, timestamps_s: np.ndarray, window_s: float
+) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`moving_average_by_time` plus a spare ``(n, C)`` buffer.
+
+    The column prefix sums go into one preallocated ``(n + 1, C)``
+    buffer.  Each window's mean is the difference of two of its rows
+    over the window's packet count.  That runs block by block in the
+    output buffer, so a block's gathered rows are still in cache for
+    the subtract and the divide; each cell sees the same two
+    operations whatever the block size.  The window bounds come from
+    ``searchsorted`` and lie in ``[0, n]``, so the unbuffered ``clip``
+    gather never clips.  The prefix buffer is dead after the gathers,
+    and its last ``n`` rows are returned as the spare.
+    """
     values = np.asarray(values, dtype=float)
     timestamps = np.asarray(timestamps_s, dtype=float)
     if values.ndim != 2:
@@ -111,13 +132,47 @@ def moving_average_by_time(
         raise ConfigurationError("window_s must be positive")
     if len(timestamps) > 1 and np.any(np.diff(timestamps) < 0):
         raise ConfigurationError("timestamps must be non-decreasing")
-    n = values.shape[0]
+    n, channels = values.shape
     half = window_s / 2.0
     lo = np.searchsorted(timestamps, timestamps - half, side="left")
     hi = np.searchsorted(timestamps, timestamps + half, side="right")
-    csum = np.vstack([np.zeros((1, values.shape[1])), np.cumsum(values, axis=0)])
-    counts = (hi - lo).astype(float)
-    return (csum[hi] - csum[lo]) / counts[:, None]
+    counts = (hi - lo).astype(float)[:, None]
+    prefix = np.empty((n + 1, channels))
+    prefix[0] = 0.0
+    _prefix_sum(values, prefix[1:])
+    means = np.empty((n, channels))
+    rows = max(1, _BLOCK_CELLS // max(channels, 1))
+    for a in range(0, n, rows):
+        block = means[a:a + rows]
+        np.take(prefix, hi[a:a + rows], axis=0, out=block, mode="clip")
+        np.subtract(block, prefix[lo[a:a + rows]], out=block)
+        np.divide(block, counts[a:a + rows], out=block)
+    return means, prefix[1:]
+
+
+def _prefix_sum(values: np.ndarray, out: np.ndarray) -> None:
+    """``np.cumsum(values, axis=-2, out=out)``, two columns per add.
+
+    Each column's running sum is a chain of dependent adds, so a plain
+    cumsum waits on add latency.  Viewing each pair of adjacent columns
+    as one complex128 runs two chains per step.  Complex addition is
+    componentwise, so every cell sees the same adds in the same order
+    and the result equals ``np.cumsum`` bit for bit, NaN, inf and -0.0
+    included.  An odd last column is summed on its own.
+
+    Args:
+        values: float array, shape ``(..., packets, channels)``.
+        out: float64 array of the same shape whose last axis is
+            contiguous.
+    """
+    values = np.ascontiguousarray(values, dtype=float)
+    channels = values.shape[-1]
+    paired = channels - channels % 2
+    if paired:
+        np.cumsum(values[..., :paired].view(np.complex128), axis=-2,
+                  out=out[..., :paired].view(np.complex128))
+    if paired < channels:
+        np.cumsum(values[..., -1], axis=-1, out=out[..., -1])
 
 
 @dataclass(frozen=True)
@@ -171,13 +226,7 @@ def condition(
         raise ConfigurationError("cannot condition an empty measurement set")
     with obs.profile("conditioning.condition"):
         values, repaired = sanitize(values, nonfinite)
-        baseline = moving_average_by_time(values, timestamps_s, window_s)
-        zero_mean = values - baseline
-        scale = np.abs(zero_mean).mean(axis=0)
-        # Guard sub-channels with no variation at all (e.g. all-quantized
-        # to one level): leave them at zero rather than dividing by zero.
-        safe = np.where(scale > 0, scale, 1.0)
-        normalized = zero_mean / safe
+        normalized, scale = _normalize(values, timestamps_s, window_s)
         obs.add_ops(values.size, values.nbytes)
     return ConditionedMeasurements(
         normalized=normalized,
@@ -185,3 +234,20 @@ def condition(
         timestamps_s=np.asarray(timestamps_s, dtype=float),
         repaired=repaired,
     )
+
+
+def _normalize(
+    values: np.ndarray, timestamps_s: np.ndarray, window_s: float
+) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`condition` of a sanitized 2-D matrix: ``(normalized, scale)``.
+
+    The baseline buffer becomes the zero-mean matrix and then the
+    normalized one; the absolute values go into the spare buffer.
+    """
+    zero_mean, spare = _moving_average(values, timestamps_s, window_s)
+    np.subtract(values, zero_mean, out=zero_mean)
+    scale = np.abs(zero_mean, out=spare).mean(axis=0)
+    # Guard sub-channels with no variation at all (e.g. all-quantized
+    # to one level): leave them at zero rather than dividing by zero.
+    safe = np.where(scale > 0, scale, 1.0)
+    return np.divide(zero_mean, safe, out=zero_mean), scale

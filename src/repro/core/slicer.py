@@ -18,7 +18,7 @@ Three mechanisms from the paper combine here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Tuple
 
 import numpy as np
 
@@ -68,21 +68,35 @@ def hysteresis_slice(
     """Per-measurement hard decisions with hysteresis.
 
     Values above ``high`` output 1, below ``low`` output 0, and values
-    in the dead band repeat the previous output — absorbing spurious
-    single-packet CSI jumps.
+    in the dead band (NaN included) repeat the previous output —
+    absorbing spurious single-packet CSI jumps.
     """
     values = np.asarray(values, dtype=float)
     if initial not in (0, 1):
         raise ConfigurationError("initial state must be 0 or 1")
-    out = np.empty(len(values), dtype=int)
-    state = initial
-    for i, v in enumerate(values):
-        if v > thresholds.high:
-            state = 1
-        elif v < thresholds.low:
-            state = 0
-        out[i] = state
-    return out
+    return _forward_fill(values > thresholds.high, values < thresholds.low,
+                         initial)
+
+
+def _forward_fill(
+    up: np.ndarray, down: np.ndarray, initial: int = 0
+) -> np.ndarray:
+    """Hysteresis decisions along the last axis from the threshold masks.
+
+    Each output is the decision of the last sample that cleared a
+    threshold (1 above ``high``, 0 below ``low``), or ``initial`` before
+    the first one.  Slot 0 of a padded row holds ``initial`` and sample
+    ``i`` sits in slot ``i + 1``; a running maximum over the slots of
+    the samples that cleared a threshold forward-fills that decision.
+    Integer-exact, so any batch shape gives the per-packet loop's output.
+    """
+    n = up.shape[-1]
+    padded = np.empty(up.shape[:-1] + (n + 1,), dtype=int)
+    padded[..., 0] = initial
+    padded[..., 1:] = up
+    slots = np.where(up | down, np.arange(1, n + 1), 0)
+    np.maximum.accumulate(slots, axis=-1, out=slots)
+    return np.take_along_axis(padded, slots, axis=-1)
 
 
 def margin_profile(
@@ -133,16 +147,57 @@ def bin_by_timestamp(
         num_bits: number of bit intervals to produce.
 
     Returns:
-        List of ``num_bits`` index arrays (possibly empty for bits that
-        saw no packets — the caller decides how to handle erasures).
+        List of ``num_bits`` ascending index arrays (possibly empty for
+        bits that saw no packets — the caller decides how to handle
+        erasures).
+    """
+    bins, inside = _bit_bins(timestamps_s, start_time_s, bit_duration_s,
+                             num_bits)
+    order = np.flatnonzero(inside)[np.argsort(bins, kind="stable")]
+    bounds = np.cumsum(np.bincount(bins, minlength=num_bits))[:-1]
+    return np.split(order, bounds)
+
+
+def _bit_bins(
+    timestamps_s: np.ndarray,
+    start_time_s: float,
+    bit_duration_s: float,
+    num_bits: int,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The binning pass every per-bit statistic shares.
+
+    Returns ``(bins, inside)``: ``inside`` marks the packets whose
+    ``floor((t - start) / bit)`` falls in ``[0, num_bits)``, and ``bins``
+    holds that bit index for each of them, in packet order.
     """
     if bit_duration_s <= 0:
         raise ConfigurationError("bit_duration_s must be positive")
     if num_bits < 1:
         raise ConfigurationError("num_bits must be >= 1")
     ts = np.asarray(timestamps_s, dtype=float)
-    idx = np.floor((ts - start_time_s) / bit_duration_s).astype(int)
-    return [np.nonzero(idx == k)[0] for k in range(num_bits)]
+    idx = np.floor((ts - start_time_s) / bit_duration_s)
+    inside = (idx >= 0) & (idx < num_bits)
+    return idx[inside].astype(np.intp), inside
+
+
+def _majority(
+    bins: np.ndarray,
+    decisions: np.ndarray,
+    size: int,
+    min_support: int = 1,
+    erasure_value: int = 0,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(bits, support, erased)`` of the decisions binned into ``size`` bits.
+
+    Two ``bincount`` passes count each bit's measurements and ones.
+    The ones are summed as float64, which is exact for sums of small
+    integers; ties (equal ones and zeros) resolve to 1.
+    """
+    support = np.bincount(bins, minlength=size)
+    ones = np.bincount(bins, weights=decisions, minlength=size).astype(int)
+    erased = support < min_support
+    bits = np.where(erased, erasure_value, (2 * ones >= support).astype(int))
+    return bits, support, erased
 
 
 @dataclass(frozen=True)
@@ -191,26 +246,18 @@ def majority_vote_bits(
     decisions = np.asarray(decisions, dtype=int)
     if len(decisions) != len(timestamps_s):
         raise ConfigurationError("decisions and timestamps must align")
-    bins = bin_by_timestamp(timestamps_s, start_time_s, bit_duration_s, num_bits)
-    bits = np.empty(num_bits, dtype=int)
-    support = np.empty(num_bits, dtype=int)
-    erasures: List[int] = []
-    for k, indices in enumerate(bins):
-        support[k] = len(indices)
-        if len(indices) < min_support:
-            erasures.append(k)
-            bits[k] = erasure_value
-            continue
-        ones = int(decisions[indices].sum())
-        bits[k] = 1 if 2 * ones >= len(indices) else 0
-    if erasures and strict:
+    bins, inside = _bit_bins(timestamps_s, start_time_s, bit_duration_s,
+                             num_bits)
+    bits, support, erased = _majority(
+        bins, decisions[inside], num_bits, min_support, erasure_value
+    )
+    erasures = np.flatnonzero(erased)
+    if erasures.size and strict:
         raise DecodeError(
             f"{len(erasures)} bit(s) saw fewer than {min_support} "
-            f"measurement(s): {erasures[:10]}"
+            f"measurement(s): {erasures[:10].tolist()}"
         )
-    return SlicedBits(
-        bits=bits, support=support, erasures=np.asarray(erasures, dtype=int)
-    )
+    return SlicedBits(bits=bits, support=support, erasures=erasures)
 
 
 def soft_average_bits(
@@ -228,16 +275,11 @@ def soft_average_bits(
     """
     combined = np.asarray(combined, dtype=float)
     bins = bin_by_timestamp(timestamps_s, start_time_s, bit_duration_s, num_bits)
-    bits = np.empty(num_bits, dtype=int)
-    support = np.empty(num_bits, dtype=int)
-    erasures: List[int] = []
+    bits = np.full(num_bits, erasure_value, dtype=int)
+    support = np.array([len(indices) for indices in bins], dtype=int)
     for k, indices in enumerate(bins):
-        support[k] = len(indices)
-        if len(indices) == 0:
-            erasures.append(k)
-            bits[k] = erasure_value
-            continue
-        bits[k] = 1 if combined[indices].mean() >= 0 else 0
+        if len(indices):
+            bits[k] = 1 if combined[indices].mean() >= 0 else 0
     return SlicedBits(
-        bits=bits, support=support, erasures=np.asarray(erasures, dtype=int)
+        bits=bits, support=support, erasures=np.flatnonzero(support == 0)
     )

@@ -22,6 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.core.barker import bits_to_chips
+from repro.core.conditioning import _prefix_sum
 from repro.errors import ConfigurationError, PreambleNotFound
 
 #: Number of good sub-channels the paper's reader keeps.
@@ -122,7 +123,7 @@ def correlation_matrix(
     num_chips = len(chips)
     channels = normalized.shape[1]
     prefix = np.zeros((len(timestamps) + 1, channels))
-    np.cumsum(normalized, axis=0, out=prefix[1:])
+    _prefix_sum(normalized, prefix[1:])
     boundaries = np.arange(num_chips + 1) * bit_duration_s
     # Telescope the per-chip sum: sum_l chips[l] * (P[b_{l+1}] - P[b_l])
     # == sum_k coef[k] * P[b_k], where coef is nonzero only at the two
@@ -196,7 +197,7 @@ def correlation_matrix_batch(
     chips = bits_to_chips(preamble_bits)
     num_chips = len(chips)
     prefix = np.zeros((num_items, max_samples + 1, channels))
-    np.cumsum(normalized, axis=1, out=prefix[:, 1:])
+    _prefix_sum(normalized, prefix[:, 1:])
     flat_prefix = prefix.reshape(num_items * (max_samples + 1), channels)
     coef = np.zeros(num_chips + 1)
     coef[0] = -chips[0]

@@ -223,7 +223,8 @@ class MeasurementStream:
 
         Streams only grow, so a length-keyed entry is exact: a stale
         one can never be served after new packets arrive.  The decoder
-        memoises its side-effect-free mode resolution here.
+        memoises its side-effect-free mode resolution here, and the
+        stream its per-column finite counts.
         """
         entry = self._memo.get(key)
         if entry is not None and entry[0] == len(self):
@@ -331,6 +332,23 @@ class MeasurementStream:
             return self.rssi_matrix()
         raise ConfigurationError(f"mode must be 'csi' or 'rssi', got {mode!r}")
 
+    def _finite_counts(self, mode: str) -> np.ndarray:
+        """Finite cells per column of the ``mode`` matrix.
+
+        One ``np.isfinite`` pass per stream and mode: the counts are
+        memoised under the stream length, and streams only grow.
+        """
+        matrix = self._mode_matrix(mode)
+        key = f"finite:{mode}"
+        counts = self.memo_get(key)
+        if counts is None:
+            finite = np.isfinite(matrix)
+            counts = self.memo_put(key, (
+                np.full(matrix.shape[1], matrix.shape[0]) if finite.all()
+                else finite.sum(axis=0)
+            ))
+        return counts
+
     def finite_column_fraction(self, mode: str) -> np.ndarray:
         """Per-column fraction of finite cells of the stacked matrix.
 
@@ -338,7 +356,7 @@ class MeasurementStream:
         :meth:`rssi_matrix` (``"rssi"``): ``np.isfinite(matrix).mean(axis=0)``,
         the decoder's usable-channel probe.
         """
-        return np.isfinite(self._mode_matrix(mode)).mean(axis=0)
+        return self._finite_counts(mode) / len(self)
 
     def nonfinite_cells(self, mode: str) -> int:
         """NaN/inf cell count of the stacked ``mode`` matrix.
@@ -346,7 +364,8 @@ class MeasurementStream:
         Zero means the sanitize gate can pass the matrix through
         untouched.
         """
-        return int((~np.isfinite(self._mode_matrix(mode))).sum())
+        counts = self._finite_counts(mode)
+        return len(self) * len(counts) - int(counts.sum())
 
     def sliced(self, start_s: float, end_s: float) -> "MeasurementStream":
         """Sub-stream with ``start_s <= t < end_s``."""
