@@ -928,8 +928,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch", type=int, default=4,
                    help="requests dispatched per decode round")
     p.add_argument("--batch-max", type=int, default=None,
-                   help="enable micro-batching: coalesce up to this many "
-                        "queued requests into one batched decode task "
+                   help="enable micro-batching: dispatch up to this many "
+                        "queued requests as one supervised task whose "
+                        "members decode one by one "
                         "(unset = per-request dispatch)")
     p.add_argument("--batch-window", type=float, default=0.0,
                    help="virtual seconds to hold a forming micro-batch "
@@ -984,8 +985,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--outlier-tag", type=int, action="append",
                    default=None, metavar="TAG",
                    help="sabotage this tag address: its requests decode "
-                        "at --outlier-distance (repeatable; requires "
-                        "per-request dispatch)")
+                        "at --outlier-distance (repeatable)")
     p.add_argument("--outlier-distance", type=float, default=None,
                    help="tag-reader distance (m) for --outlier-tag "
                         "requests")

@@ -226,7 +226,15 @@ def condition(
         raise ConfigurationError("cannot condition an empty measurement set")
     with obs.profile("conditioning.condition"):
         values, repaired = sanitize(values, nonfinite)
-        normalized, scale = _normalize(values, timestamps_s, window_s)
+        # The baseline buffer becomes the zero-mean matrix and then the
+        # normalized one; the absolute values go into the spare buffer.
+        zero_mean, spare = _moving_average(values, timestamps_s, window_s)
+        np.subtract(values, zero_mean, out=zero_mean)
+        scale = np.abs(zero_mean, out=spare).mean(axis=0)
+        # Guard sub-channels with no variation at all (e.g. all-quantized
+        # to one level): leave them at zero rather than dividing by zero.
+        safe = np.where(scale > 0, scale, 1.0)
+        normalized = np.divide(zero_mean, safe, out=zero_mean)
         obs.add_ops(values.size, values.nbytes)
     return ConditionedMeasurements(
         normalized=normalized,
@@ -235,19 +243,3 @@ def condition(
         repaired=repaired,
     )
 
-
-def _normalize(
-    values: np.ndarray, timestamps_s: np.ndarray, window_s: float
-) -> Tuple[np.ndarray, np.ndarray]:
-    """:func:`condition` of a sanitized 2-D matrix: ``(normalized, scale)``.
-
-    The baseline buffer becomes the zero-mean matrix and then the
-    normalized one; the absolute values go into the spare buffer.
-    """
-    zero_mean, spare = _moving_average(values, timestamps_s, window_s)
-    np.subtract(values, zero_mean, out=zero_mean)
-    scale = np.abs(zero_mean, out=spare).mean(axis=0)
-    # Guard sub-channels with no variation at all (e.g. all-quantized
-    # to one level): leave them at zero rather than dividing by zero.
-    safe = np.where(scale > 0, scale, 1.0)
-    return np.divide(zero_mean, safe, out=zero_mean), scale

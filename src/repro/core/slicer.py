@@ -88,7 +88,7 @@ def _forward_fill(
     the first one.  Slot 0 of a padded row holds ``initial`` and sample
     ``i`` sits in slot ``i + 1``; a running maximum over the slots of
     the samples that cleared a threshold forward-fills that decision.
-    Integer-exact, so any batch shape gives the per-packet loop's output.
+    Integer-exact, so each row gives the per-packet loop's output.
     """
     n = up.shape[-1]
     padded = np.empty(up.shape[:-1] + (n + 1,), dtype=int)
@@ -180,26 +180,6 @@ def _bit_bins(
     return idx[inside].astype(np.intp), inside
 
 
-def _majority(
-    bins: np.ndarray,
-    decisions: np.ndarray,
-    size: int,
-    min_support: int = 1,
-    erasure_value: int = 0,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(bits, support, erased)`` of the decisions binned into ``size`` bits.
-
-    Two ``bincount`` passes count each bit's measurements and ones.
-    The ones are summed as float64, which is exact for sums of small
-    integers; ties (equal ones and zeros) resolve to 1.
-    """
-    support = np.bincount(bins, minlength=size)
-    ones = np.bincount(bins, weights=decisions, minlength=size).astype(int)
-    erased = support < min_support
-    bits = np.where(erased, erasure_value, (2 * ones >= support).astype(int))
-    return bits, support, erased
-
-
 @dataclass(frozen=True)
 class SlicedBits:
     """Decoded bit decisions with per-bit support counts.
@@ -248,9 +228,15 @@ def majority_vote_bits(
         raise ConfigurationError("decisions and timestamps must align")
     bins, inside = _bit_bins(timestamps_s, start_time_s, bit_duration_s,
                              num_bits)
-    bits, support, erased = _majority(
-        bins, decisions[inside], num_bits, min_support, erasure_value
-    )
+    # Two bincount passes count each bit's measurements and ones.  The
+    # ones are summed as float64, which is exact for sums of small
+    # integers.
+    support = np.bincount(bins, minlength=num_bits)
+    ones = np.bincount(
+        bins, weights=decisions[inside], minlength=num_bits
+    ).astype(int)
+    erased = support < min_support
+    bits = np.where(erased, erasure_value, (2 * ones >= support).astype(int))
     erasures = np.flatnonzero(erased)
     if erasures.size and strict:
         raise DecodeError(

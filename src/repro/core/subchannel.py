@@ -77,7 +77,7 @@ def correlate_at(
     return (normalized[mask] * chips[mask, None]).mean(axis=0)
 
 
-#: Candidate start times evaluated per batched-correlation block.  Caps
+#: Candidate start times evaluated per correlation block.  Caps
 #: the (candidates x packets) expected-chip matrix at a few MB for
 #: typical streams so the vectorized search stays cache-friendly.
 SEARCH_CHUNK = 256
@@ -92,7 +92,7 @@ def correlation_matrix(
 ) -> np.ndarray:
     """Per-channel preamble correlations at many candidate offsets.
 
-    The batched form of :func:`correlate_at`.  Packet timestamps are
+    The many-offset form of :func:`correlate_at`.  Packet timestamps are
     sorted, so the packets expecting chip ``k`` of a candidate starting
     at ``s`` are exactly the contiguous run in
     ``[s + k*bit, s + (k+1)*bit)`` — each candidate's per-chip
@@ -148,92 +148,6 @@ def correlation_matrix(
             sums[nonzero] / counts[nonzero, None]
         )
     return out
-
-
-def correlation_matrix_batch(
-    normalized: np.ndarray,
-    timestamps_s: np.ndarray,
-    lengths: np.ndarray,
-    start_times_per_item: Sequence[np.ndarray],
-    preamble_bits: Sequence[int],
-    bit_durations_s: np.ndarray,
-) -> list:
-    """Batch-axis extension of :func:`correlation_matrix`.
-
-    Evaluates every item's candidate offsets in one shot: per-lane
-    prefix sums are taken with a single batched ``cumsum`` over the
-    packed ``(K, samples, channels)`` array, and all K items' boundary
-    gathers feed one telescoped ``einsum``.  ``einsum`` (with the
-    default non-optimized path) reduces each output row independently
-    with a fixed-order sum over the contraction axis, so every row is
-    bitwise identical to the row :func:`correlation_matrix` produces
-    for that item alone — the batch dimension cannot perturb results.
-
-    Args:
-        normalized: packed conditioned measurements, shape
-            ``(K, max_samples, channels)``, rows past each item's
-            length zero-padded.
-        timestamps_s: packed timestamps, shape ``(K, max_samples)``,
-            padded with ``+inf`` so ``searchsorted`` against the full
-            row equals ``searchsorted`` against the item's real prefix.
-        lengths: valid sample count per item, shape ``(K,)``.
-        start_times_per_item: K arrays of candidate frame starts.
-        preamble_bits: the known preamble (shared across items).
-        bit_durations_s: per-item tag bit duration, shape ``(K,)``.
-
-    Returns:
-        List of K arrays, item ``k`` of shape
-        ``(len(start_times_per_item[k]), channels)``.
-    """
-    normalized = np.asarray(normalized, dtype=float)
-    if normalized.ndim != 3:
-        raise ConfigurationError(
-            "normalized must be 3-D (items x packets x channels)"
-        )
-    timestamps = np.asarray(timestamps_s, dtype=float)
-    num_items, max_samples, channels = normalized.shape
-    if len(start_times_per_item) != num_items:
-        raise ConfigurationError("one candidate array per item required")
-    chips = bits_to_chips(preamble_bits)
-    num_chips = len(chips)
-    prefix = np.zeros((num_items, max_samples + 1, channels))
-    _prefix_sum(normalized, prefix[:, 1:])
-    flat_prefix = prefix.reshape(num_items * (max_samples + 1), channels)
-    coef = np.zeros(num_chips + 1)
-    coef[0] = -chips[0]
-    coef[-1] = chips[-1]
-    coef[1:-1] = chips[:-1] - chips[1:]
-    nz = np.flatnonzero(coef)
-    rows = []
-    sizes = []
-    for k in range(num_items):
-        starts = np.atleast_1d(
-            np.asarray(start_times_per_item[k], dtype=float)
-        )
-        sizes.append(len(starts))
-        if len(starts) == 0:
-            continue
-        boundaries = np.arange(num_chips + 1) * float(bit_durations_s[k])
-        bounds = starts[:, None] + boundaries[None, :]
-        pos = np.searchsorted(timestamps[k], bounds.ravel()).reshape(
-            len(starts), num_chips + 1
-        )
-        rows.append(pos + k * (max_samples + 1))
-    out_per_item = []
-    if rows:
-        pos_all = np.concatenate(rows, axis=0)
-        sums = np.einsum("k,bkj->bj", coef[nz], flat_prefix[pos_all[:, nz]])
-        counts = (pos_all[:, -1] - pos_all[:, 0]).astype(float)
-        nonzero = counts > 0
-        out_all = np.zeros((len(pos_all), channels))
-        out_all[nonzero] = sums[nonzero] / counts[nonzero, None]
-    else:
-        out_all = np.zeros((0, channels))
-    offset = 0
-    for size in sizes:
-        out_per_item.append(out_all[offset:offset + size])
-        offset += size
-    return out_per_item
 
 
 @dataclass(frozen=True)

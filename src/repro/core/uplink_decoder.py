@@ -21,6 +21,7 @@ Two measurement modes share the pipeline:
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
@@ -361,12 +362,19 @@ class UplinkDecoder:
 
         Raises:
             PreambleNotFound: no preamble above the detection threshold.
-            DecodeError: the stream is too short to cover the data bits.
+            DecodeError: the stream is empty or too short to cover the
+                data bits.
+            ConfigurationError: ``num_bits`` < 1, or ``bit_duration_s``
+                not finite and positive.
         """
         if len(stream) == 0:
             raise DecodeError("empty measurement stream")
         if num_bits < 1:
             raise ConfigurationError("num_bits must be >= 1")
+        if not (math.isfinite(bit_duration_s) and bit_duration_s > 0):
+            raise ConfigurationError(
+                "bit_duration_s must be finite and positive"
+            )
         t_decode = time.perf_counter() if obs.metrics_enabled() else 0.0
         with forensics.ensure_record("uplink"), \
                 obs.span("uplink.decode", mode=mode, num_bits=num_bits,

@@ -330,102 +330,6 @@ def _bench_fleet_telemetry(iterations: int, seed: int,
     return out
 
 
-def _bench_uplink_batch(iterations: int, seed: int,
-                        workers: int = 1) -> Dict[str, float]:
-    # Not forwarded: the batched decoder's win is single-process
-    # vectorization (one pipeline pass over K stacked packets).
-    del workers
-    import numpy as np
-
-    from repro.core.batch import BatchedUplinkDecoder, BatchItem
-    from repro.core.uplink_decoder import UplinkDecoder
-    from repro.sim.link import synthesize_uplink_trial
-
-    batch_size = 16
-    payload_bits = 8
-    bit_rate = 3.0
-    reps = 2
-    warmup = 2
-    blocks = warmup + 10 * max(iterations, 1)
-
-    items: List[BatchItem] = []
-    payloads: List[np.ndarray] = []
-    for k in range(batch_size):
-        # Per-item generators keep every lane the same packet count
-        # (uniform batch fast path), mirroring the engine's per-trial
-        # SeedSequence fan-out.
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=(seed + k, 11))
-        )
-        payload, stream, tx_start = synthesize_uplink_trial(
-            0.05, 2.0, num_payload_bits=payload_bits,
-            bit_rate_bps=bit_rate, rng=rng,
-        )
-        payloads.append(np.asarray(payload))
-        items.append(BatchItem(
-            stream=stream, num_bits=payload_bits,
-            bit_duration_s=1.0 / bit_rate, mode="csi",
-            start_time_s=tx_start,
-        ))
-
-    scalar = UplinkDecoder()
-    batched = BatchedUplinkDecoder()
-    # Warm both paths once (JIT-free, but caches and scratch buffers
-    # fill here) and keep the outputs for the equality oracle below.
-    scalar_bits = [
-        scalar.decode_bits(it.stream, it.num_bits, it.bit_duration_s,
-                           mode=it.mode, start_time_s=it.start_time_s).bits
-        for it in items
-    ]
-    outcomes = batched.decode_batch(items)
-
-    latencies = TimeSeries("bench.latency", capacity=blocks)
-    ratios: List[float] = []
-    batch_wall = 0.0
-    decoded = 0
-    # Interleaved scalar/batch blocks: the per-block ratio cancels
-    # machine-wide speed drift, and the median over blocks shrugs off
-    # the scheduler outliers that poison a mean of small timings.
-    for block in range(blocks):
-        t0 = time.perf_counter()
-        for _ in range(reps):
-            for it in items:
-                scalar.decode_bits(
-                    it.stream, it.num_bits, it.bit_duration_s,
-                    mode=it.mode, start_time_s=it.start_time_s,
-                )
-        t_scalar = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        for _ in range(reps):
-            outcomes = batched.decode_batch(items)
-        t_batch = time.perf_counter() - t0
-        if block < warmup:
-            continue
-        ratios.append(t_scalar / t_batch if t_batch else 0.0)
-        latencies.sample(t_batch / reps)
-        batch_wall += t_batch
-        decoded += reps * batch_size
-
-    errors = total = matched = 0
-    for payload, reference, outcome in zip(payloads, scalar_bits, outcomes):
-        total += payload_bits
-        if outcome.ok:
-            bits = outcome.result.bits
-            errors += int(np.sum(payload != bits))
-            matched += int(np.array_equal(reference, bits))
-        else:
-            errors += payload_bits
-    out = _latency_metrics(latencies)
-    out["throughput_bps"] = (
-        decoded * payload_bits / batch_wall if batch_wall else 0.0
-    )
-    out["packets_decoded_per_s"] = decoded / batch_wall if batch_wall else 0.0
-    out["batch_speedup"] = float(np.median(ratios)) if ratios else 0.0
-    out["ber"] = errors / total if total else 0.0
-    out["oracle_equal"] = matched / batch_size
-    return out
-
-
 #: The workload matrix: name -> fn(iterations, seed, workers) -> metrics.
 WORKLOADS: Dict[str, Callable[..., Dict[str, float]]] = {
     "uplink_csi_near": lambda n, s, w=1: _bench_uplink(0.3, "csi", n, s, w),
@@ -436,7 +340,6 @@ WORKLOADS: Dict[str, Callable[..., Dict[str, float]]] = {
     "downlink_far": _bench_downlink,
     "serve_overload": _bench_serve_overload,
     "fleet_telemetry": _bench_fleet_telemetry,
-    "uplink_batch_decode": _bench_uplink_batch,
 }
 
 #: Iterations per workload.
@@ -448,7 +351,7 @@ FULL_ITERATIONS = 8
 WALL_CLOCK_METRICS = frozenset({
     "latency_p50_s", "latency_p95_s", "latency_p99_s", "wall_s",
     "throughput_bps", "speedup_vs_serial", "packets_decoded_per_s",
-    "batch_speedup", "fleet_ingest_per_s",
+    "fleet_ingest_per_s",
 })
 
 #: Metrics never gated on a single-CPU runner: they measure throughput
@@ -485,8 +388,6 @@ def list_workloads() -> List[Dict[str, Any]]:
         "fleet_telemetry": "64-tag fleet with one sabotaged tag "
                            "(sketch/registry fold rate + anomaly "
                            "surfacing)",
-        "uplink_batch_decode": "batched 16-packet CSI decode vs scalar "
-                               "(cross-packet batching speedup)",
     }
     return [
         {
@@ -657,7 +558,7 @@ def default_tolerance(metric: str) -> float:
 def default_direction(metric: str) -> str:
     return HIGHER_BETTER if metric in (
         "throughput_bps", "delivery_ratio", "speedup_vs_serial",
-        "packets_decoded_per_s", "batch_speedup", "oracle_equal",
+        "packets_decoded_per_s",
         "fleet_ingest_per_s", "fleet_conservation", "outlier_surfaced",
     ) else LOWER_BETTER
 

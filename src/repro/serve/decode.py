@@ -1,7 +1,8 @@
-"""The picklable decode task the gateway fans out to workers.
+"""The picklable decode tasks the gateway fans out to workers.
 
 One task = one queued request through the full uplink pipeline
-(:func:`repro.sim.link.run_uplink_trial`).  The task is plain data and
+(:func:`repro.sim.link.run_uplink_trial`); a micro-batch task carries
+several of them and decodes them in turn.  The task is plain data and
 its random stream derives purely from ``(root_seed, seq)``, so any
 worker — or a supervised retry after a crash — decodes the identical
 payload.  Fault plans are rewound before use so an inline (workers=0)
@@ -132,174 +133,37 @@ def decode_request_task(task: ServeDecodeTask) -> Dict[str, Any]:
         }
 
 
-# -- micro-batched decode ------------------------------------------------------
+# -- micro-batches -------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class ServeBatchTask:
-    """One coalesced micro-batch of queued requests, decoded in one pass.
+    """One coalesced micro-batch: the members' own decode tasks.
 
-    Per-request synthesis is unchanged — request ``seq`` draws from the
-    same ``(root_seed, 1, seq)`` stream whether it is decoded alone or
-    in a batch — and the batched decoder is bit-identical to the scalar
-    pipeline, so the delivered payloads match the unbatched gateway
-    exactly.  The ``seq``/``corr_id`` of the batch's first request
-    double as the task's forensics correlation (a dead-lettered batch
-    loses every member, which the gateway accounts per request).
+    Micro-batching is a dispatch policy.  The batch travels to a worker
+    as one supervised task, and each member decodes exactly as it would
+    alone, so the delivered payloads match the unbatched gateway.  The
+    ``seq``/``corr_id`` of the batch's first member double as the
+    task's forensics correlation (a dead-lettered batch loses every
+    member, which the gateway accounts per request).
     """
 
     batch_id: int
-    run_id: str
-    root_seed: int
-    payload_bits: int
-    tag_to_reader_m: float
-    packets_per_bit: float
-    mode: str
-    bit_rate_bps: float
-    helper_to_tag_m: float
-    faults: Optional[FaultPlan]
-    seqs: Tuple[int, ...]
-    corr_ids: Tuple[str, ...]
-    start_times_s: Tuple[float, ...]
+    tasks: Tuple[ServeDecodeTask, ...]
 
     @property
     def seq(self) -> int:
-        return self.seqs[0] if self.seqs else -1
+        return self.tasks[0].seq if self.tasks else -1
 
     @property
     def corr_id(self) -> str:
-        return self.corr_ids[0] if self.corr_ids else ""
+        return self.tasks[0].corr_id if self.tasks else ""
 
     @property
     def trial(self) -> int:
         return self.seq
 
-    def request_task(self, index: int) -> ServeDecodeTask:
-        """The equivalent scalar task for member ``index``."""
-        return ServeDecodeTask(
-            seq=self.seqs[index],
-            corr_id=self.corr_ids[index],
-            run_id=self.run_id,
-            root_seed=self.root_seed,
-            payload_bits=self.payload_bits,
-            tag_to_reader_m=self.tag_to_reader_m,
-            packets_per_bit=self.packets_per_bit,
-            mode=self.mode,
-            bit_rate_bps=self.bit_rate_bps,
-            start_s=self.start_times_s[index],
-            faults=self.faults,
-            helper_to_tag_m=self.helper_to_tag_m,
-        )
-
 
 def decode_batch_task(task: ServeBatchTask) -> List[Dict[str, Any]]:
-    """Engine task: decode one micro-batch -> result dicts in seq order.
-
-    Synthesis runs per request (each from its own derived stream, with
-    the fault plan rewound per member exactly like the scalar path);
-    decoding runs once over the whole batch through
-    :class:`~repro.core.batch.BatchedUplinkDecoder`, whose equality
-    oracle guarantees bit-identical bits/errors to per-request decodes.
-    With forensics recording enabled the batch falls back to the scalar
-    per-request task so the record stream (decoder stages nested inside
-    each request's ``serve`` record) stays byte-identical.
-    """
-    if obs.recording_enabled():
-        return [
-            decode_request_task(task.request_task(i))
-            for i in range(len(task.seqs))
-        ]
-    from repro.core.batch import BatchItem, BatchedUplinkDecoder
-    from repro.sim.link import synthesize_uplink_trial
-    from repro.sim.metrics import bit_errors
-
-    active = task.faults is not None and not task.faults.empty
-    k = len(task.seqs)
-    rows: List[Optional[Dict[str, Any]]] = [None] * k
-    items: List[BatchItem] = []
-    lanes: List[int] = []
-    payloads: List[np.ndarray] = []
-    synth_wall: List[float] = [0.0] * k
-    for i in range(k):
-        t0 = time.perf_counter()
-        if active:
-            task.faults.reset()
-        rng = np.random.default_rng(
-            np.random.SeedSequence(
-                entropy=(task.root_seed, 1, task.seqs[i])
-            )
-        )
-        try:
-            payload, stream, tx_start = synthesize_uplink_trial(
-                task.tag_to_reader_m,
-                task.packets_per_bit,
-                num_payload_bits=task.payload_bits,
-                bit_rate_bps=task.bit_rate_bps,
-                traffic="cbr",
-                rng=rng,
-                faults=task.faults,
-                start_s=task.start_times_s[i],
-                helper_to_tag_m=task.helper_to_tag_m,
-            )
-        except ReproError as exc:
-            if not active:
-                raise
-            obs.quantile_sketch("fleet.decode.errors").observe(
-                float(task.payload_bits)
-            )
-            rows[i] = {
-                "seq": task.seqs[i],
-                "ok": False,
-                "errors": int(task.payload_bits),
-                "payload": (),
-                "failure": type(exc).__name__,
-                "wall_s": time.perf_counter() - t0,
-            }
-            continue
-        synth_wall[i] = time.perf_counter() - t0
-        lanes.append(i)
-        payloads.append(payload)
-        items.append(BatchItem(
-            stream=stream,
-            num_bits=task.payload_bits,
-            bit_duration_s=1.0 / task.bit_rate_bps,
-            mode=task.mode,
-            start_time_s=tx_start,
-        ))
-    if items:
-        t0 = time.perf_counter()
-        outcomes = BatchedUplinkDecoder().decode_batch(items)
-        decode_share = (time.perf_counter() - t0) / len(items)
-        for i, payload, outcome in zip(lanes, payloads, outcomes):
-            if outcome.ok:
-                errors = bit_errors(payload, outcome.result.bits)
-                obs.counter("uplink.bits.total").inc(task.payload_bits)
-                obs.counter("uplink.bits.errors").inc(errors)
-                obs.quantile_sketch("fleet.decode.errors").observe(
-                    float(errors)
-                )
-                rows[i] = {
-                    "seq": task.seqs[i],
-                    "ok": True,
-                    "errors": int(errors),
-                    "payload": tuple(
-                        int(b) for b in outcome.result.bits
-                    ),
-                    "failure": "",
-                    "wall_s": synth_wall[i] + decode_share,
-                }
-            else:
-                if not active:
-                    raise outcome.error
-                obs.quantile_sketch("fleet.decode.errors").observe(
-                    float(task.payload_bits)
-                )
-                rows[i] = {
-                    "seq": task.seqs[i],
-                    "ok": False,
-                    "errors": int(task.payload_bits),
-                    "payload": (),
-                    "failure": type(outcome.error).__name__,
-                    "wall_s": synth_wall[i] + decode_share,
-                }
-    return rows  # type: ignore[return-value]
+    """Engine task: decode one micro-batch -> result dicts in seq order."""
+    return [decode_request_task(member) for member in task.tasks]

@@ -22,6 +22,7 @@ deadline_abandoned + worker_lost`` as an internal invariant.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -83,6 +84,10 @@ FAILURE_DEADLINE = "DeadlineAbandoned"
 FAILURE_WORKER_LOST = "WorkerLost"
 
 
+def _finite_positive(value: float) -> bool:
+    return math.isfinite(value) and value > 0
+
+
 @dataclass(frozen=True)
 class ServeConfig:
     """Declarative configuration for one serve run."""
@@ -97,12 +102,12 @@ class ServeConfig:
     egress_capacity: int = 256
     batch: int = 4
     #: Micro-batching: when set, up to ``batch_max`` queued requests
-    #: coalesce into ONE :class:`ServeBatchTask` decoded in a single
-    #: batched pass (instead of one task per request).  The gateway
-    #: holds dispatch while the next arrival lands within
+    #: coalesce into ONE supervised :class:`ServeBatchTask` (instead of
+    #: one task per request) whose members decode one by one.  The
+    #: gateway holds dispatch while the next arrival lands within
     #: ``batch_window_s`` (virtual) of the oldest queued request, so a
     #: trickle of traffic still forms batches.  None = per-request
-    #: dispatch, the legacy path.
+    #: dispatch.
     batch_max: Optional[int] = None
     batch_window_s: float = 0.0
     workers: int = 0
@@ -139,8 +144,7 @@ class ServeConfig:
     #: Sabotaged tags: requests from these tag addresses decode at
     #: ``outlier_distance_m`` instead of ``tag_to_reader_m`` — a
     #: physically real degradation used to exercise the fleet anomaly
-    #: detector.  Requires the per-request dispatch path (no
-    #: ``batch_max``): a micro-batch decodes at one shared distance.
+    #: detector.
     outlier_tags: Tuple[int, ...] = ()
     outlier_distance_m: Optional[float] = None
 
@@ -161,6 +165,12 @@ class ServeConfig:
             raise ConfigurationError("batch_window_s must be >= 0")
         if self.payload_bits < 1:
             raise ConfigurationError("payload_bits must be >= 1")
+        for name in ("bit_rate_bps", "packets_per_bit", "tag_to_reader_m",
+                     "helper_to_tag_m"):
+            if not _finite_positive(getattr(self, name)):
+                raise ConfigurationError(
+                    f"{name} must be finite and positive"
+                )
         if self.arrival_profile not in ARRIVAL_PROFILES:
             raise ConfigurationError(
                 f"arrival_profile must be one of {ARRIVAL_PROFILES}"
@@ -195,19 +205,14 @@ class ServeConfig:
                 raise ConfigurationError(
                     "outlier_tags require outlier_distance_m"
                 )
-            if self.batch_max is not None:
-                raise ConfigurationError(
-                    "outlier_tags require per-request dispatch "
-                    "(batch_max must be None)"
-                )
             if any(t < 0 for t in self.outlier_tags):
                 raise ConfigurationError(
                     "outlier_tags must be non-negative tag addresses"
                 )
         if self.outlier_distance_m is not None and \
-                self.outlier_distance_m <= 0:
+                not _finite_positive(self.outlier_distance_m):
             raise ConfigurationError(
-                "outlier_distance_m must be positive"
+                "outlier_distance_m must be finite and positive"
             )
 
     @property
@@ -365,6 +370,7 @@ class StreamingDecodeGateway:
         i = 0
         stopped = False
         batching = cfg.batch_max is not None
+        outliers = frozenset(cfg.outlier_tags)
         batch_seq = 0
         batch_sizes: List[int] = []
 
@@ -653,6 +659,28 @@ class StreamingDecodeGateway:
                 continue
             from repro.sim import engine
 
+            tasks = [
+                ServeDecodeTask(
+                    seq=req.seq,
+                    corr_id=req.corr_id,
+                    run_id=self.run_id,
+                    root_seed=self.seed,
+                    payload_bits=req.payload_bits,
+                    tag_to_reader_m=(
+                        cfg.outlier_distance_m
+                        if req.tag_address in outliers
+                        else cfg.tag_to_reader_m
+                    ),
+                    packets_per_bit=cfg.packets_per_bit,
+                    mode=cfg.mode,
+                    bit_rate_bps=cfg.bit_rate_bps,
+                    start_s=req.arrival_s,
+                    faults=self.faults,
+                    helper_to_tag_m=cfg.helper_to_tag_m,
+                    lenient=req.tag_address in outliers,
+                )
+                for req in ready
+            ]
             if batching:
                 # One supervised task for the whole micro-batch.  Its
                 # sabotage key is the first member's seq, so a fault
@@ -663,24 +691,12 @@ class StreamingDecodeGateway:
                 obs.histogram("serve.batch_size").observe(
                     float(len(ready))
                 )
-                btask = ServeBatchTask(
-                    batch_id=batch_id if batch_id is not None else 0,
-                    run_id=self.run_id,
-                    root_seed=self.seed,
-                    payload_bits=cfg.payload_bits,
-                    tag_to_reader_m=cfg.tag_to_reader_m,
-                    packets_per_bit=cfg.packets_per_bit,
-                    mode=cfg.mode,
-                    bit_rate_bps=cfg.bit_rate_bps,
-                    helper_to_tag_m=cfg.helper_to_tag_m,
-                    faults=self.faults,
-                    seqs=tuple(req.seq for req in ready),
-                    corr_ids=tuple(req.corr_id for req in ready),
-                    start_times_s=tuple(req.arrival_s for req in ready),
-                )
                 sup = engine.run_trials_supervised(
                     decode_batch_task,
-                    [btask],
+                    [ServeBatchTask(
+                        batch_id=batch_id if batch_id is not None else 0,
+                        tasks=tuple(tasks),
+                    )],
                     workers=cfg.workers,
                     sabotage=plan,
                     keys=[ready[0].seq],
@@ -697,29 +713,6 @@ class StreamingDecodeGateway:
                     rows = sup.results[0]
                 sup_totals["dead_letters"] += len(dead)
             else:
-                outliers = frozenset(cfg.outlier_tags)
-                tasks = [
-                    ServeDecodeTask(
-                        seq=req.seq,
-                        corr_id=req.corr_id,
-                        run_id=self.run_id,
-                        root_seed=self.seed,
-                        payload_bits=req.payload_bits,
-                        tag_to_reader_m=(
-                            cfg.outlier_distance_m
-                            if req.tag_address in outliers
-                            else cfg.tag_to_reader_m
-                        ),
-                        packets_per_bit=cfg.packets_per_bit,
-                        mode=cfg.mode,
-                        bit_rate_bps=cfg.bit_rate_bps,
-                        start_s=req.arrival_s,
-                        faults=self.faults,
-                        helper_to_tag_m=cfg.helper_to_tag_m,
-                        lenient=req.tag_address in outliers,
-                    )
-                    for req in ready
-                ]
                 sup = engine.run_trials_supervised(
                     decode_request_task,
                     tasks,

@@ -263,9 +263,8 @@ def synthesize_uplink_trial(
     Exactly the synthesis half of :func:`run_uplink_trial` — the draw
     order against ``rng`` is identical — so decoding the returned
     stream with ``start_time_s=tx_start`` reproduces the trial's decode
-    input bit-for-bit.  The batched serve path uses this to synthesize
-    per-request streams before handing the whole set to
-    :class:`repro.core.batch.BatchedUplinkDecoder` in one pass.
+    input bit-for-bit.  Tests and benchmarks that time or check the
+    decoder on its own build their streams here.
 
     Returns:
         ``(payload_bits, stream, tx_start_s)``.

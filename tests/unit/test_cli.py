@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import EXIT_CONFIG_ERROR, build_parser, main
 
 
 def run_cli(capsys, argv):
@@ -70,6 +70,11 @@ class TestCli:
     def test_power_budget_far(self, capsys):
         code, out = run_cli(capsys, ["power-budget", "--distance", "30"])
         assert "duty cycling" in out
+
+    def test_serve_zero_rate_is_a_config_error(self, capsys):
+        code = main(["serve", "--duration", "1", "--rate", "0"])
+        assert code == EXIT_CONFIG_ERROR
+        assert "bit_rate_bps" in capsys.readouterr().err
 
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):

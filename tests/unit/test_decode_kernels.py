@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from repro.core import conditioning, slicer
-from repro.core.batch import _take_rows
 from repro.core.conditioning import _prefix_sum
 from repro.core.slicer import HysteresisThresholds
 from repro.errors import DecodeError
@@ -347,20 +346,3 @@ class TestFiniteCounts:
             assert cells == 0
             assert same_bits(stream.finite_column_fraction(mode), fraction)
             assert stream.nonfinite_cells(mode) == 0
-
-
-# -- unbuffered gathers -------------------------------------------------------
-
-class TestTakeRows:
-    def test_matches_fancy_indexing(self):
-        source = np.arange(60.0).reshape(12, 5)
-        index = np.array([0, 11, 3, 3, 7])
-        out = np.empty((5, 5))
-        _take_rows(source, index, out)
-        assert same_bits(out, source[index])
-
-    @pytest.mark.parametrize("bad", [12, -1])
-    def test_out_of_range_index_raises(self, bad):
-        source = np.zeros((12, 5))
-        with pytest.raises(IndexError):
-            _take_rows(source, np.array([0, bad]), np.empty((2, 5)))

@@ -163,6 +163,28 @@ class TestWorkerDeterminism:
             dumps_line(pooled.report.fleet)
 
 
+class TestMicroBatchedOutliers:
+    def test_batched_run_matches_per_request_run(self, fleet_pair):
+        # Micro-batch members carry their own decode tasks, so the
+        # sabotaged tag keeps its hostile distance inside a batch.
+        (inline, _, _), _ = fleet_pair
+        obs.disable()
+        obs.reset()
+        batched = run_serve(
+            ServeConfig(**dict(FLEET_RUN, batch_max=4, batch_window_s=0.0)),
+            seed=SEED,
+        )
+        assert batched.report.batches > 0
+        assert batched.delivered_payloads() == inline.delivered_payloads()
+        for field in ("arrivals", "delivered", "decode_failed", "shed",
+                      "deadline_abandoned", "worker_lost", "shed_by_reason",
+                      "delivered_bits", "error_bits"):
+            assert getattr(batched.report, field) == \
+                getattr(inline.report, field), field
+        assert dumps_line(batched.report.fleet) == \
+            dumps_line(inline.report.fleet)
+
+
 def _observe_fleet_task(seed):
     """Worker-side task: records into both sketch kinds.
 

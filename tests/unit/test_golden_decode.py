@@ -2,13 +2,13 @@
 
 Decodes the streams that ``tests/unit/test_golden_synthesis.py`` builds
 (the 30 clean synthesis cases and both fault specs) with
-``UplinkDecoder.decode_bits`` and with ``BatchedUplinkDecoder`` at K=1
-and K=4, each with known frame timing and with the preamble search, and
-compares digests with ``tests/golden/decode.json``.  Only integer-valued
-outputs are hashed: per-packet hysteresis decisions, decoded bits,
-per-bit support, erasures, selected sub-channel indices, the frame
-slice, the decode mode and its fallback, and the error type when a
-decode raises.  So a digest does not depend on SIMD or BLAS paths.
+``UplinkDecoder.decode_bits``, with known frame timing and with the
+preamble search, and compares digests with ``tests/golden/decode.json``.
+Only integer-valued outputs are hashed: per-packet hysteresis decisions,
+decoded bits, per-bit support, erasures, selected sub-channel indices,
+the frame slice, the decode mode and its fallback, and the error type
+when a decode raises.  So a digest does not depend on SIMD or BLAS
+paths.
 
 A change that moves a digest must regenerate the file deliberately and
 say why::
@@ -21,12 +21,11 @@ from __future__ import annotations
 import json
 import sys
 from pathlib import Path
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, Tuple
 
 import numpy as np
 
 from repro.core import slicer
-from repro.core.batch import BatchedUplinkDecoder, BatchItem
 from repro.core.uplink_decoder import UplinkDecoder
 from repro.errors import ReproError
 from repro.faults.spec import parse_fault_spec
@@ -44,7 +43,6 @@ from tests.unit.test_golden_synthesis import (
 
 GOLDEN = Path(__file__).resolve().parents[1] / "golden" / "decode.json"
 BIT_S = 1.0 / BIT_RATE_BPS
-BATCH = 4
 
 
 def _cases() -> Iterator[Tuple[str, str, object, float]]:
@@ -89,53 +87,29 @@ def _parts(result, error, width: float) -> list:
     ]
 
 
-def _scalar(decoder: UplinkDecoder, item: BatchItem):
+def _decode(decoder: UplinkDecoder, stream, mode: str, start):
     try:
         return decoder.decode_bits(
-            item.stream, item.num_bits, item.bit_duration_s, mode=item.mode,
-            start_time_s=item.start_time_s,
+            stream, PAYLOAD_BITS, BIT_S, mode=mode, start_time_s=start,
         ), None
     except Exception as exc:
         return None, exc
 
 
 def compute() -> Dict[str, str]:
-    """Every golden case's digest, keyed by decoder and case name."""
-    scalar = UplinkDecoder()
-    batched = BatchedUplinkDecoder()
-    width = scalar.config.hysteresis_width
-    names: List[str] = []
-    items: Dict[str, List[BatchItem]] = {"known": [], "scan": []}
+    """Every golden case's digest, keyed by ``scalar/`` and case name."""
+    decoder = UplinkDecoder()
+    width = decoder.config.hysteresis_width
     parts: Dict[str, list] = {}
     for name, mode, stream, tx_start in _cases():
+        key = f"scalar/{name}"
         if isinstance(stream, str):
-            for decoder in ("scalar", "batch1", f"batch{BATCH}"):
-                parts[f"{decoder}/{name}"] = [stream]
+            parts[key] = [stream]
             continue
-        names.append(name)
+        parts[key] = []
         for timing, start in (("known", tx_start), ("scan", None)):
-            items[timing].append(BatchItem(
-                stream, PAYLOAD_BITS, BIT_S, mode=mode, start_time_s=start,
-            ))
-    for timing in ("known", "scan"):
-        todo = items[timing]
-        runs = {
-            "scalar": [_scalar(scalar, item) for item in todo],
-            "batch1": [
-                (o.result, o.error)
-                for item in todo for o in batched.decode_batch([item])
-            ],
-            f"batch{BATCH}": [
-                (o.result, o.error)
-                for lo in range(0, len(todo), BATCH)
-                for o in batched.decode_batch(todo[lo:lo + BATCH])
-            ],
-        }
-        for decoder, outcomes in runs.items():
-            for name, (result, error) in zip(names, outcomes):
-                parts.setdefault(f"{decoder}/{name}", []).extend(
-                    [timing] + _parts(result, error, width)
-                )
+            result, error = _decode(decoder, stream, mode, start)
+            parts[key].extend([timing] + _parts(result, error, width))
     return {key: _digest(*value) for key, value in sorted(parts.items())}
 
 
@@ -145,16 +119,6 @@ def test_decode_matches_golden():
     changed = sorted(k for k in expected if actual.get(k) != expected[k])
     assert set(actual) == set(expected)
     assert not changed, f"{len(changed)} golden digests moved: {changed[:8]}"
-
-
-def test_batched_digests_match_scalar():
-    digests = json.loads(GOLDEN.read_text())["digests"]
-    scalar = {k.split("/", 1)[1]: v for k, v in digests.items()
-              if k.startswith("scalar/")}
-    for decoder in ("batch1", f"batch{BATCH}"):
-        batched = {k.split("/", 1)[1]: v for k, v in digests.items()
-                   if k.startswith(f"{decoder}/")}
-        assert batched == scalar, decoder
 
 
 if __name__ == "__main__":

@@ -1,12 +1,15 @@
 """Golden digests of the uplink synthesis path.
 
 Recomputes digests of synthesized streams, Fig 10 BER trials, fault-plan
-runs and one serve session, and compares them with
+runs and three micro-batched serve sessions (clean, faulted, and clean
+with metrics on), and compares them with
 ``tests/golden/synthesis.json``.  Only integer-valued outputs are hashed:
 timestamp bytes, CSI in quantisation steps (non-finite cells as a
 separate mask), RSSI in dB, payload and decoded bits, error counts,
 fault evidence units, counters and delivered payloads.  So a digest does
-not depend on which SIMD code paths a CPU takes for ``exp``/``log``.
+not depend on which SIMD code paths a CPU takes for ``exp``/``log``.  The
+one exception is the faulted serve session's ``report.fleet`` block,
+whose latency sketch holds virtual-clock floats.
 
 A change that moves a digest must regenerate the file deliberately and
 say why::
@@ -56,6 +59,17 @@ SERVE_CONFIG = ServeConfig(
     bit_rate_bps=50.0,
 )
 SERVE_SEED = 1
+#: Heavy enough to fail decodes (DecodeError, ConfigurationError), push
+#: CSI decodes onto the RSSI fallback and quarantine a tag's breaker.
+SERVE_FAULT_SPEC = ("outage:duty=0.5,burst=0.5;"
+                    "csi_dropout:duty=0.6,burst=0.3,frac=0.9;"
+                    "nan:prob=0.05")
+#: The decode counters a serve session emits.
+SERVE_COUNTERS = (
+    "uplink.decodes", "uplink.bits.total", "uplink.bits.errors",
+    "uplink.nonfinite.repaired", "uplink.degradation.rssi_fallbacks",
+    "conditioning.nonfinite.repaired",
+)
 
 
 def _digest(*parts) -> str:
@@ -154,8 +168,7 @@ def _fault_case(mode, distance, seed, spec) -> str:
     return _digest(*synth, ber, records, counters)
 
 
-def _serve_case() -> str:
-    result = run_serve(SERVE_CONFIG, seed=SERVE_SEED)
+def _serve_parts(result) -> list:
     report = result.report
     outcomes = [
         [o.seq, o.corr_id, o.tag_address, o.priority, o.status, o.reason,
@@ -171,7 +184,27 @@ def _serve_case() -> str:
             "error_bits",
         )
     }
-    return _digest(outcomes, counts)
+    return [outcomes, counts]
+
+
+def _serve_case() -> str:
+    return _digest(*_serve_parts(run_serve(SERVE_CONFIG, seed=SERVE_SEED)))
+
+
+def _serve_faults_case() -> str:
+    faults = parse_fault_spec(SERVE_FAULT_SPEC, base_seed=SERVE_SEED)
+    result = run_serve(SERVE_CONFIG, seed=SERVE_SEED, faults=faults)
+    return _digest(*_serve_parts(result), result.report.fleet)
+
+
+def _serve_metrics_case() -> str:
+    with obs.session(metrics=True, tracing=False) as (registry, _):
+        run_serve(SERVE_CONFIG, seed=SERVE_SEED)
+        snapshot = registry.snapshot()
+    return _digest({
+        name: snapshot[name]["value"]
+        for name in SERVE_COUNTERS if name in snapshot
+    })
 
 
 def compute() -> Dict[str, str]:
@@ -194,6 +227,8 @@ def compute() -> Dict[str, str]:
                     mode, distance, seed, MIXED_SPEC
                 )
     out[f"serve/seed{SERVE_SEED}"] = _serve_case()
+    out[f"serve-faults/seed{SERVE_SEED}"] = _serve_faults_case()
+    out[f"serve-metrics/seed{SERVE_SEED}"] = _serve_metrics_case()
     return out
 
 

@@ -289,35 +289,3 @@ class TestServeOverloadWorkload:
         b = bench.run_workload("serve_overload", 1, seed=3).metrics
         assert a["shed_fraction"] == b["shed_fraction"]
         assert a["latency_virtual_p99_s"] == b["latency_virtual_p99_s"]
-
-
-class TestUplinkBatchWorkload:
-    def test_registered_with_description(self):
-        assert "uplink_batch_decode" in bench.WORKLOADS
-        listing = {w["name"]: w for w in bench.list_workloads()}
-        assert listing["uplink_batch_decode"]["description"]
-
-    def test_speedup_metric_classification(self):
-        assert "batch_speedup" in bench.WALL_CLOCK_METRICS
-        assert bench.default_direction("batch_speedup") == bench.HIGHER_BETTER
-        assert bench.default_direction("oracle_equal") == bench.HIGHER_BETTER
-        # The deterministic oracle metric gets the tight band.
-        assert bench.default_tolerance("oracle_equal") == 0.10
-
-    def test_workload_reports_batch_metrics(self):
-        result = bench.run_workload("uplink_batch_decode", 1, seed=0)
-        m = result.metrics
-        for key in ("batch_speedup", "packets_decoded_per_s", "ber",
-                    "oracle_equal"):
-            assert key in m, key
-        assert m["batch_speedup"] > 0.0
-        assert m["packets_decoded_per_s"] > 0.0
-        # Batch and scalar decodes agree bit-for-bit on every packet.
-        assert m["oracle_equal"] == 1.0
-        assert m["ber"] == 0.0
-
-    def test_quality_metrics_deterministic(self):
-        a = bench.run_workload("uplink_batch_decode", 1, seed=5).metrics
-        b = bench.run_workload("uplink_batch_decode", 1, seed=5).metrics
-        assert a["ber"] == b["ber"]
-        assert a["oracle_equal"] == b["oracle_equal"]

@@ -241,6 +241,20 @@ class TestServeConfig:
         with pytest.raises(ConfigurationError):
             ServeConfig(**bad)
 
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"),
+                                       float("inf")])
+    @pytest.mark.parametrize("name", ["bit_rate_bps", "packets_per_bit",
+                                      "tag_to_reader_m", "helper_to_tag_m"])
+    def test_rejects_impossible_link_parameters(self, name, value):
+        with pytest.raises(ConfigurationError, match=name):
+            ServeConfig(**{name: value})
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"),
+                                       float("inf")])
+    def test_rejects_impossible_outlier_distance(self, value):
+        with pytest.raises(ConfigurationError, match="outlier_distance_m"):
+            ServeConfig(outlier_tags=(7,), outlier_distance_m=value)
+
     def test_to_dict_json_safe(self):
         import json
         json.dumps(ServeConfig().to_dict())

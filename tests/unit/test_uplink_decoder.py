@@ -101,8 +101,36 @@ class TestDecodeBits:
             )
 
     def test_empty_stream_rejected(self):
-        with pytest.raises(DecodeError):
+        with pytest.raises(DecodeError, match="empty measurement stream"):
             UplinkDecoder().decode_bits(MeasurementStream(), 4, BIT)
+
+    def test_empty_stream_leaves_decoder_usable(self):
+        # One bad packet never sinks the next: the rejection carries its
+        # cause and the same decoder still decodes a good stream after.
+        payload = [1, 0, 1, 1, 0, 0, 1, 0]
+        stream, start = synth_stream(payload)
+        decoder = UplinkDecoder()
+        with pytest.raises(DecodeError, match="empty measurement stream"):
+            decoder.decode_bits(MeasurementStream(), len(payload), BIT)
+        result = decoder.decode_bits(
+            stream, len(payload), BIT, start_time_s=start
+        )
+        assert result.bits.tolist() == payload
+
+    def test_zero_num_bits_rejected(self):
+        stream, start = synth_stream([1, 0])
+        with pytest.raises(ConfigurationError, match="num_bits must be >= 1"):
+            UplinkDecoder().decode_bits(stream, 0, BIT, start_time_s=start)
+
+    @pytest.mark.parametrize("known_timing", [True, False])
+    @pytest.mark.parametrize("bit_s", [0.0, float("nan"), float("inf")])
+    def test_bad_bit_duration_rejected(self, bit_s, known_timing):
+        stream, start = synth_stream([1, 0])
+        with pytest.raises(ConfigurationError, match="bit_duration_s"):
+            UplinkDecoder().decode_bits(
+                stream, 2, bit_s,
+                start_time_s=start if known_timing else None,
+            )
 
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
