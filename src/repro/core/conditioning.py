@@ -78,13 +78,41 @@ def sanitize(
     if repaired.ndim == 1:
         repaired = repaired[:, None]
         bad = bad[:, None]
-    for col in np.nonzero(bad.any(axis=0))[0]:
-        finite = repaired[~bad[:, col], col]
-        fill = float(np.median(finite)) if finite.size else 0.0
-        repaired[bad[:, col], col] = fill
-    repaired = repaired.reshape(np.asarray(values).shape)
+    np.copyto(repaired, _finite_medians(repaired, bad), where=bad)
+    repaired = repaired.reshape(values.shape)
     obs.counter("conditioning.nonfinite.repaired").inc(count)
     return repaired, count
+
+
+def _finite_medians(values: np.ndarray, bad: np.ndarray) -> np.ndarray:
+    """``np.median`` of each column's finite cells, 0.0 for none.
+
+    The columns holding a bad cell are copied with their bad cells set
+    to +inf and sorted in one call, so each column's finite cells come
+    first, in order.  The fill follows ``np.median``'s arithmetic on
+    them: the mean of the middle value or two, which NumPy sums from
+    0.0 (so a -0.0 median comes out as 0.0).
+
+    Returns:
+        One fill per column, shape ``(n_channels,)``; 0.0 for columns
+        without a bad cell.
+    """
+    fills = np.zeros(values.shape[1])
+    cols = np.flatnonzero(bad.any(axis=0))
+    ordered, holes = values.T[cols], bad.T[cols]
+    np.copyto(ordered, np.inf, where=holes)
+    ordered.sort(axis=1)
+    finite = len(values) - holes.sum(axis=1)
+    rows = np.arange(len(cols))
+    # With no finite cell both picks are +inf, and the fill is 0.0.
+    lo = ordered[rows, (finite - 1) // 2]
+    hi = ordered[rows, finite // 2]
+    median = 0.0 + lo
+    even = finite % 2 == 0
+    median[even] = (0.0 + (lo[even] + hi[even])) / 2.0
+    median[finite == 0] = 0.0
+    fills[cols] = median
+    return fills
 
 
 def moving_average_by_time(

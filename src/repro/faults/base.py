@@ -9,35 +9,40 @@ machinery to: every injector is a :class:`FaultInjector` exposing a
 small set of hooks, and a :class:`FaultPlan` composes several injectors
 and applies them at well-defined points of the measurement pipeline.
 
-Hook points (each a no-op unless an injector overrides it):
+Hook points (each a no-op unless an injector overrides it).  Every hook
+takes a whole stream's rows at once, in row order; the per-frame entry
+points of :class:`FaultPlan` call them with one row:
 
-``drop_packet(t)``
-    The helper packet at time ``t`` never reaches the reader (outage
-    bursts, interferer captures the medium).
-``corrupt(csi, rssi, t)``
-    Mutate one measurement record's CSI matrix / RSSI vector
-    (sub-channel dropouts, NaN/saturation corruption, AGC gain jumps,
-    interference noise).
-``tag_powered(t)``
-    Whether the tag's harvester can keep the modulator running at
-    ``t`` (energy brownouts force the switch to the absorbing state).
-``warp_timestamp(t)``
-    The reader's clock view of ``t`` (oscillator drift + jitter).
+``drop_mask(times_s)``
+    True where the helper packet at that time never reaches the reader
+    (outage bursts, interferer captures the medium).
+``dark_mask(times_s)``
+    True where the tag's harvester cannot keep the modulator running
+    (energy brownouts force the switch to the absorbing state).
+``corrupt_rows(csi, rssi_dbm, has_csi, times_s)``
+    Mutate the rows' CSI blocks / RSSI vectors in place and return the
+    mask of rows it changed (sub-channel dropouts, NaN/saturation
+    corruption, AGC gain jumps, interference noise).
+``warp_times(times_s)``
+    The reader's clock view of the times (oscillator drift + jitter).
 
 Determinism contract: every injector draws randomness from its own
 generator resolved through :func:`repro.sim.seeding.resolve_rng`, so a
 plan built from the same spec/seed produces the *same* fault sequence,
-independent of the driver's RNG.  A disabled plan (``faults=None`` or an
-empty plan) is zero-overhead: drivers skip the hooks entirely and the
-driver's random stream is untouched, keeping no-fault runs byte-identical
-to builds without this package.
+independent of the driver's RNG.  It also makes the array hooks exact:
+a row's value after injector *k* depends only on its value after
+injector *k - 1* and on *k*'s own draws, so running injector by
+injector over all rows gives what row by row over the injectors gives,
+as long as each injector makes its draws in row order.  A disabled plan
+(``faults=None`` or an empty plan) is zero-overhead: drivers skip the
+hooks entirely and the driver's random stream is untouched, keeping
+no-fault runs byte-identical to builds without this package.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -66,26 +71,38 @@ class FaultInjector:
 
     # -- hooks ----------------------------------------------------------------
 
-    def drop_packet(self, time_s: float) -> bool:
-        """True when the helper packet at ``time_s`` is lost."""
-        return False
+    def drop_mask(self, times_s: np.ndarray) -> np.ndarray:
+        """True where the helper packet at that time is lost."""
+        return np.zeros(len(times_s), dtype=bool)
 
-    def corrupt(
+    def dark_mask(self, times_s: np.ndarray) -> np.ndarray:
+        """True where the tag's energy store is browned out."""
+        return np.zeros(len(times_s), dtype=bool)
+
+    def corrupt_rows(
         self,
-        csi: Optional[np.ndarray],
+        csi: np.ndarray,
         rssi_dbm: np.ndarray,
-        time_s: float,
-    ) -> Tuple[Optional[np.ndarray], np.ndarray]:
-        """Mutate one record's measurements; return the new pair."""
-        return csi, rssi_dbm
+        has_csi: np.ndarray,
+        times_s: np.ndarray,
+    ) -> np.ndarray:
+        """Mutate rows of the measurement arrays in place.
 
-    def tag_powered(self, time_s: float) -> bool:
-        """False while the tag's energy store is browned out."""
-        return True
+        Args:
+            csi: writable C-contiguous float block, shape ``(n, antennas,
+                subchannels)``; rows without CSI must stay untouched.
+            rssi_dbm: writable float block, shape ``(n, antennas)``.
+            has_csi: which rows carry CSI, shape ``(n,)``.
+            times_s: row timestamps, shape ``(n,)``.
 
-    def warp_timestamp(self, time_s: float) -> float:
-        """The reader-clock timestamp recorded for true time ``time_s``."""
-        return time_s
+        Returns:
+            Row mask, True where this injector changed the row.
+        """
+        return np.zeros(len(times_s), dtype=bool)
+
+    def warp_times(self, times_s: np.ndarray) -> np.ndarray:
+        """The reader-clock timestamps recorded for the true times."""
+        return times_s
 
     def sabotage(
         self, task_key: int, attempt: int
@@ -114,7 +131,9 @@ class BurstState:
     fraction of time spent in the bad state equals ``duty_cycle`` and
     bad intervals average ``mean_burst_s``.  Intervals are extended on
     demand as later times are queried, so the schedule is deterministic
-    for a given generator regardless of how many queries are made.
+    for a given generator regardless of how many queries are made.  The
+    interval bounds live in arrays that grow by doubling, because a plan
+    (and its schedule) lives across trials.
     """
 
     def __init__(
@@ -130,9 +149,11 @@ class BurstState:
         self.duty_cycle = duty_cycle
         self.mean_burst_s = mean_burst_s
         self._rng = rng
-        self._bad: List[Tuple[float, float]] = []
-        #: Start of every bad interval, for bisection.
-        self._starts: List[float] = []
+        #: Start and end of every bad interval; the first ``_count``
+        #: entries are live.
+        self._starts = np.empty(16)
+        self._ends = np.empty(16)
+        self._count = 0
         self._horizon_s = 0.0
 
     @property
@@ -146,24 +167,65 @@ class BurstState:
             good = self._rng.exponential(self.mean_good_s)
             bad = self._rng.exponential(self.mean_burst_s)
             start = self._horizon_s + good
-            self._bad.append((start, start + bad))
-            self._starts.append(start)
+            if self._count == len(self._starts):
+                self._starts = np.concatenate([self._starts, self._starts])
+                self._ends = np.concatenate([self._ends, self._ends])
+            self._starts[self._count] = start
+            self._ends[self._count] = start + bad
+            self._count += 1
             self._horizon_s = start + bad
 
-    def in_burst(self, time_s: float) -> bool:
-        """Whether ``time_s`` falls inside a bad interval."""
-        return self.burst_index(time_s) is not None
+    def _lookup(self, times: np.ndarray) -> np.ndarray:
+        """Burst index per time, -1 where none, over the sampled part.
 
-    def burst_index(self, time_s: float) -> Optional[int]:
-        """Index of the burst covering ``time_s``, or None."""
-        if self.duty_cycle == 0.0 or time_s < 0:
-            return None
-        self._extend_to(time_s)
-        idx = bisect.bisect_right(self._starts, time_s) - 1
-        if idx < 0:
-            return None
-        start, end = self._bad[idx]
-        return idx if start <= time_s < end else None
+        ``idx`` is the last burst starting at or before each time, so
+        the time is in it when it is also before that burst's end.
+        """
+        if not self._count:
+            return np.full(len(times), -1, dtype=np.intp)
+        idx = np.searchsorted(self._starts[:self._count], times,
+                              side="right") - 1
+        inside = (idx >= 0) & (times < self._ends[:self._count][idx])
+        return np.where(inside, idx, -1)
+
+    def in_burst(self, times_s: Sequence[float]) -> np.ndarray:
+        """Whether each time falls inside a bad interval.
+
+        Extends the schedule once, to the latest time.  Negative and
+        NaN times are in no burst and extend nothing.
+        """
+        times = np.asarray(times_s, dtype=float)
+        if self.duty_cycle > 0.0 and len(times):
+            self._extend_to(float(np.fmax.reduce(times)))
+        return self._lookup(times) >= 0
+
+    def segments(
+        self, times_s: np.ndarray
+    ) -> Iterator[Tuple[int, int, np.ndarray]]:
+        """Rows in runs that need no schedule draws, with their bursts.
+
+        For injectors that draw from the schedule's generator between
+        queries: each ``(a, b, bursts)`` is preceded by exactly the
+        extension a row-by-row query of ``times_s[a]`` makes, and rows
+        ``a + 1 .. b - 1`` lie below the new horizon.  So running each
+        run's own draws in row order before taking the next run keeps
+        the generator's draws in per-row order.  ``bursts`` holds the
+        burst index per row of the run, -1 where none.
+        """
+        times = np.asarray(times_s, dtype=float)
+        n = len(times)
+        if self.duty_cycle == 0.0:
+            if n:
+                yield 0, n, np.full(n, -1, dtype=np.intp)
+            return
+        a = 0
+        while a < n:
+            if times[a] >= self._horizon_s:
+                self._extend_to(float(times[a]))
+            beyond = times[a + 1:] >= self._horizon_s
+            b = a + 1 + int(beyond.argmax()) if beyond.any() else n
+            yield a, b, self._lookup(times[a:b])
+            a = b
 
 
 @dataclass
@@ -206,20 +268,17 @@ class FaultPlan:
         return [inj for inj in self.injectors
                 if getattr(type(inj), hook) is not base]
 
-    def _first_hit(self, hook: str, times_s: Sequence[float],
-                   hit_when: bool) -> np.ndarray:
-        """Per-time mask: True where some injector's ``hook`` returns
-        ``hit_when``; the injectors run in plan order and stop at the
-        first hit, time by time."""
-        times = np.asarray(times_s, dtype=float)
+    def _any(self, hook: str, times: np.ndarray) -> np.ndarray:
+        """OR of every overriding injector's ``hook`` mask.
+
+        Only schedule-driven injectors override the mask hooks, and a
+        schedule's draws do not depend on which times are queried, so
+        asking every injector about every time matches stopping at the
+        first hit.
+        """
         hits = np.zeros(len(times), dtype=bool)
-        hooks = [getattr(inj, hook) for inj in self._overriding(hook)]
-        if hooks:
-            for i, t in enumerate(times.tolist()):
-                for fn in hooks:
-                    if bool(fn(t)) == hit_when:
-                        hits[i] = True
-                        break
+        for inj in self._overriding(hook):
+            hits |= getattr(inj, hook)(times)
         return hits
 
     def packet_mask(self, times_s: Sequence[float]) -> np.ndarray:
@@ -227,7 +286,7 @@ class FaultPlan:
         times = np.asarray(times_s, dtype=float)
         if self.empty:
             return np.ones(len(times), dtype=bool)
-        keep = ~self._first_hit("drop_packet", times, True)
+        keep = ~self._any("drop_mask", times)
         dropped = int(len(times) - keep.sum())
         if dropped:
             obs.counter("faults.packets.dropped").inc(dropped)
@@ -242,14 +301,15 @@ class FaultPlan:
         times = np.asarray(times_s, dtype=float)
         if self.empty:
             return np.ones(len(times), dtype=bool)
-        powered = ~self._first_hit("tag_powered", times, False)
+        powered = ~self._any("dark_mask", times)
         dark = int(len(times) - powered.sum())
         if dark:
             obs.counter("faults.tag.brownout_samples").inc(dark)
         return powered
 
     def tag_powered(self, time_s: float) -> bool:
-        return all(inj.tag_powered(time_s) for inj in self.injectors)
+        """Whether the tag is powered at ``time_s`` (one-row mask)."""
+        return not self._any("dark_mask", np.array([time_s], dtype=float))[0]
 
     @property
     def has_worker_faults(self) -> bool:
@@ -277,42 +337,58 @@ class FaultPlan:
         return chosen
 
     def drop_packet(self, time_s: float) -> bool:
-        dropped = any(inj.drop_packet(time_s) for inj in self.injectors)
+        """Whether the helper packet at ``time_s`` is lost (one-row mask)."""
+        dropped = bool(
+            self._any("drop_mask", np.array([time_s], dtype=float))[0]
+        )
         if dropped:
             obs.counter("faults.packets.dropped").inc()
         return dropped
 
-    def _corrupt_row(self, csi, rssi, time_s, corrupters, warpers):
-        """One row through every corruption hook, then every clock warp.
+    def _corrupt(
+        self,
+        csi: np.ndarray,
+        rssi: np.ndarray,
+        has_csi: np.ndarray,
+        times: np.ndarray,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Rows through every corruption hook, then every clock warp.
 
-        Returns ``(csi, rssi, warped_s, changed)``; an injector hands
-        back the very arrays it was given when it leaves a row alone.
+        The corrupters share one writable copy of the CSI and RSSI
+        blocks.  Returns ``(csi, rssi, warped, touched)``; ``touched``
+        marks the rows some hook changed or whose time moved.
         """
-        new_csi, new_rssi = csi, rssi
-        for inj in corrupters:
-            new_csi, new_rssi = inj.corrupt(new_csi, new_rssi, time_s)
-        warped = time_s
-        for inj in warpers:
-            warped = inj.warp_timestamp(warped)
-        changed = (new_csi is not csi or new_rssi is not rssi
-                   or warped != time_s)
-        return new_csi, new_rssi, warped, changed
+        touched = np.zeros(len(times), dtype=bool)
+        corrupters = self._overriding("corrupt_rows")
+        if corrupters:
+            csi = np.array(csi, dtype=float)
+            rssi = np.array(rssi, dtype=float)
+            for inj in corrupters:
+                touched |= inj.corrupt_rows(csi, rssi, has_csi, times)
+        warped = times
+        for inj in self._overriding("warp_times"):
+            warped = inj.warp_times(warped)
+        touched |= warped != times
+        return csi, rssi, warped, touched
 
     def corrupt_measurement(
         self, measurement: ChannelMeasurement
     ) -> ChannelMeasurement:
         """One record through every injector's corruption + clock warp."""
-        csi, rssi, warped, changed = self._corrupt_row(
-            measurement.csi, measurement.rssi_dbm, measurement.timestamp_s,
-            self._overriding("corrupt"), self._overriding("warp_timestamp"),
+        has_csi = measurement.csi is not None
+        csi, rssi, warped, touched = self._corrupt(
+            measurement.csi[None] if has_csi else np.empty((1, 0, 0)),
+            np.asarray(measurement.rssi_dbm)[None],
+            np.array([has_csi]),
+            np.array([measurement.timestamp_s], dtype=float),
         )
-        if not changed:
+        if not touched[0]:
             return measurement
         obs.counter("faults.measurements.corrupted").inc()
         return ChannelMeasurement(
-            timestamp_s=warped,
-            csi=csi,
-            rssi_dbm=rssi,
+            timestamp_s=float(warped[0]),
+            csi=csi[0] if has_csi else None,
+            rssi_dbm=rssi[0],
             source=measurement.source,
         )
 
@@ -321,40 +397,22 @@ class FaultPlan:
     ) -> Tuple[MeasurementStream, np.ndarray]:
         """Apply corruption + clock warp to every row of a stream.
 
-        Rows go through the hooks one by one, in row order, so each
-        injector sees the calls (and makes the draws) it would on a
-        per-record capture.  Warped timestamps are re-monotonized
-        (cumulative max) so the result stays ordered.
+        Each injector runs once over all rows, in plan order; warped
+        timestamps are re-monotonized (cumulative max) so the result
+        stays ordered.  The input stream itself comes back when nothing
+        changed.
 
         Returns:
             ``(stream, touched)``: the rewritten stream and a row mask,
             True where the CSI, RSSI or timestamp changed.
         """
         times = stream.timestamps
-        touched = np.zeros(len(times), dtype=bool)
-        corrupters = self._overriding("corrupt")
-        warpers = self._overriding("warp_timestamp")
-        if not (corrupters or warpers):
-            return stream, touched
-        csi_in, rssi_in = stream.csi, stream.rssi_matrix()
-        csi_out = rssi_out = None
-        warped = times.copy()
-        for i, (t, has_csi) in enumerate(
-            zip(times.tolist(), stream.has_csi.tolist())
-        ):
-            csi = csi_in[i] if has_csi else None
-            rssi = rssi_in[i]
-            new_csi, new_rssi, warped[i], touched[i] = self._corrupt_row(
-                csi, rssi, t, corrupters, warpers
-            )
-            if new_csi is not csi:
-                if csi_out is None:
-                    csi_out = csi_in.copy()
-                csi_out[i] = new_csi
-            if new_rssi is not rssi:
-                if rssi_out is None:
-                    rssi_out = rssi_in.copy()
-                rssi_out[i] = new_rssi
+        if not (self._overriding("corrupt_rows")
+                or self._overriding("warp_times")):
+            return stream, np.zeros(len(times), dtype=bool)
+        csi, rssi, warped, touched = self._corrupt(
+            stream.csi, stream.rssi_matrix(), stream.has_csi, times
+        )
         corrupted = int(touched.sum())
         if corrupted:
             obs.counter("faults.measurements.corrupted").inc(corrupted)
@@ -362,7 +420,7 @@ class FaultPlan:
         touched |= fixed != times
         if not touched.any():
             return stream, touched
-        return stream.replaced(fixed, csi_out, rssi_out), touched
+        return stream.replaced(fixed, csi, rssi), touched
 
     # -- description ----------------------------------------------------------
 

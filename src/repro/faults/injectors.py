@@ -10,12 +10,38 @@ replay — same seed, same faults.
 from __future__ import annotations
 
 import copy
-from typing import Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import FaultInjectionError
 from repro.faults.base import BurstState, FaultInjector
+
+
+def _cells(csi: np.ndarray) -> np.ndarray:
+    """A CSI block as one row of cells per packet (a view of it)."""
+    return csi.reshape(len(csi), int(np.prod(csi.shape[1:])))
+
+
+def _bernoulli_draws(
+    rng: np.random.Generator,
+    probability: float,
+    count: int,
+    draw: Callable[[], Any],
+) -> Tuple[List[int], List[Any]]:
+    """Per-row Bernoulli trials with a follow-up draw on each hit.
+
+    One uniform per row, and ``draw()`` right after each hit, in row
+    order.  Returns the hit indices and their ``draw()`` values.
+    """
+    hits: List[int] = []
+    values: List[Any] = []
+    random = rng.random
+    for i in range(count):
+        if random() < probability:
+            hits.append(i)
+            values.append(draw())
+    return hits, values
 
 
 class _SeededInjector(FaultInjector):
@@ -60,9 +86,6 @@ class _BurstInjector(_SeededInjector):
         super().reset()
         self._bursts = BurstState(self.duty_cycle, self.mean_burst_s, self.rng)
 
-    def in_burst(self, time_s: float) -> bool:
-        return self._bursts.in_burst(time_s)
-
     def describe(self) -> dict:
         return {
             "name": self.name,
@@ -82,8 +105,8 @@ class HelperOutage(_BurstInjector):
 
     name = "outage"
 
-    def drop_packet(self, time_s: float) -> bool:
-        return self.in_burst(time_s)
+    def drop_mask(self, times_s: np.ndarray) -> np.ndarray:
+        return self._bursts.in_burst(times_s)
 
 
 class InterferenceBurst(_BurstInjector):
@@ -111,21 +134,32 @@ class InterferenceBurst(_BurstInjector):
         self.csi_noise_rel = csi_noise_rel
         self.rssi_shift_db = rssi_shift_db
 
-    def corrupt(
+    def corrupt_rows(
         self,
-        csi: Optional[np.ndarray],
+        csi: np.ndarray,
         rssi_dbm: np.ndarray,
-        time_s: float,
-    ) -> Tuple[Optional[np.ndarray], np.ndarray]:
-        if not self.in_burst(time_s):
-            return csi, rssi_dbm
-        if csi is not None:
-            scale = self.csi_noise_rel * max(float(np.abs(csi).mean()), 1e-12)
-            csi = csi + self.rng.normal(scale=scale, size=csi.shape)
-        rssi_dbm = rssi_dbm + self.rssi_shift_db + self.rng.normal(
-            scale=1.0, size=rssi_dbm.shape
-        )
-        return csi, rssi_dbm
+        has_csi: np.ndarray,
+        times_s: np.ndarray,
+    ) -> np.ndarray:
+        touched = np.zeros(len(times_s), dtype=bool)
+        for a, _, bursts in self._bursts.segments(times_s):
+            for row in (a + np.flatnonzero(bursts >= 0)).tolist():
+                if has_csi[row]:
+                    # The noise scales with the mean magnitude of the
+                    # finite cells, so a row an earlier clause poisoned
+                    # keeps its good cells.
+                    magnitude = np.abs(csi[row])
+                    finite = np.isfinite(magnitude)
+                    count = int(finite.sum())
+                    mean = (float(np.where(finite, magnitude, 0.0).sum())
+                            / count if count else 0.0)
+                    scale = self.csi_noise_rel * max(mean, 1e-12)
+                    csi[row] += self.rng.normal(scale=scale,
+                                                size=csi.shape[1:])
+                rssi_dbm[row] = rssi_dbm[row] + self.rssi_shift_db + \
+                    self.rng.normal(scale=1.0, size=rssi_dbm.shape[1:])
+                touched[row] = True
+        return touched
 
     def describe(self) -> dict:
         d = super().describe()
@@ -175,20 +209,26 @@ class CsiDropout(_BurstInjector):
             )
         return self._burst_cells[key]
 
-    def corrupt(
+    def corrupt_rows(
         self,
-        csi: Optional[np.ndarray],
+        csi: np.ndarray,
         rssi_dbm: np.ndarray,
-        time_s: float,
-    ) -> Tuple[Optional[np.ndarray], np.ndarray]:
-        if csi is None:
-            return csi, rssi_dbm
-        burst = self._bursts.burst_index(time_s)
-        if burst is None:
-            return csi, rssi_dbm
-        flat = csi.astype(float).reshape(-1).copy()
-        flat[self._cells_for_burst(burst, csi.shape)] = self.fill_value
-        return flat.reshape(csi.shape), rssi_dbm
+        has_csi: np.ndarray,
+        times_s: np.ndarray,
+    ) -> np.ndarray:
+        touched = np.zeros(len(times_s), dtype=bool)
+        rows = np.flatnonzero(has_csi)
+        flat = _cells(csi)
+        for a, b, bursts in self._bursts.segments(times_s[rows]):
+            hit = bursts >= 0
+            run, ids = rows[a:b][hit], bursts[hit]
+            # A burst's cells are drawn when its first row comes up.
+            unique, first = np.unique(ids, return_index=True)
+            for burst in unique[np.argsort(first)].tolist():
+                cells = self._cells_for_burst(burst, csi.shape[1:])
+                flat[run[ids == burst][:, None], cells] = self.fill_value
+            touched[run] = True
+        return touched
 
     def describe(self) -> dict:
         d = super().describe()
@@ -236,19 +276,26 @@ class NanCorruption(_SeededInjector):
             return float("inf")
         return self.saturate_value
 
-    def corrupt(
+    def corrupt_rows(
         self,
-        csi: Optional[np.ndarray],
+        csi: np.ndarray,
         rssi_dbm: np.ndarray,
-        time_s: float,
-    ) -> Tuple[Optional[np.ndarray], np.ndarray]:
-        if csi is None or self.rng.random() >= self.probability:
-            return csi, rssi_dbm
-        flat = csi.astype(float).reshape(-1).copy()
-        count = min(self.cells, flat.size)
-        flat[self.rng.choice(flat.size, size=count, replace=False)] = \
-            self._fill()
-        return flat.reshape(csi.shape), rssi_dbm
+        has_csi: np.ndarray,
+        times_s: np.ndarray,
+    ) -> np.ndarray:
+        rows = np.flatnonzero(has_csi)
+        flat = _cells(csi)
+        size = flat.shape[1]
+        count = min(self.cells, size)
+        hits, cells = _bernoulli_draws(
+            self.rng, self.probability, len(rows),
+            lambda: self.rng.choice(size, size=count, replace=False),
+        )
+        touched = np.zeros(len(times_s), dtype=bool)
+        if hits:
+            flat[rows[hits][:, None], np.array(cells)] = self._fill()
+            touched[rows[hits]] = True
+        return touched
 
     def describe(self) -> dict:
         return {
@@ -285,16 +332,27 @@ class AgcJump(_SeededInjector):
         self.probability = probability
         self.max_jump_db = max_jump_db
 
-    def corrupt(
+    def corrupt_rows(
         self,
-        csi: Optional[np.ndarray],
+        csi: np.ndarray,
         rssi_dbm: np.ndarray,
-        time_s: float,
-    ) -> Tuple[Optional[np.ndarray], np.ndarray]:
-        if csi is None or self.rng.random() >= self.probability:
-            return csi, rssi_dbm
-        jump_db = self.rng.uniform(-self.max_jump_db, self.max_jump_db)
-        return csi * 10.0 ** (jump_db / 20.0), rssi_dbm
+        has_csi: np.ndarray,
+        times_s: np.ndarray,
+    ) -> np.ndarray:
+        rows = np.flatnonzero(has_csi)
+        # The gain is a Python float power, so the C library pow; NumPy's
+        # power may differ from it in the last bit.
+        hits, gains = _bernoulli_draws(
+            self.rng, self.probability, len(rows),
+            lambda: 10.0 ** (
+                self.rng.uniform(-self.max_jump_db, self.max_jump_db) / 20.0
+            ),
+        )
+        touched = np.zeros(len(times_s), dtype=bool)
+        if hits:
+            csi[rows[hits]] *= np.array(gains)[:, None, None]
+            touched[rows[hits]] = True
+        return touched
 
     def describe(self) -> dict:
         return {
@@ -316,8 +374,8 @@ class TagBrownout(_BurstInjector):
 
     name = "brownout"
 
-    def tag_powered(self, time_s: float) -> bool:
-        return not self.in_burst(time_s)
+    def dark_mask(self, times_s: np.ndarray) -> np.ndarray:
+        return self._bursts.in_burst(times_s)
 
 
 class ReaderClockDrift(_SeededInjector):
@@ -343,10 +401,12 @@ class ReaderClockDrift(_SeededInjector):
         self.drift_ppm = drift_ppm
         self.jitter_std_s = jitter_std_s
 
-    def warp_timestamp(self, time_s: float) -> float:
-        warped = time_s * (1.0 + self.drift_ppm * 1e-6)
+    def warp_times(self, times_s: np.ndarray) -> np.ndarray:
+        warped = times_s * (1.0 + self.drift_ppm * 1e-6)
         if self.jitter_std_s > 0:
-            warped += self.rng.normal(scale=self.jitter_std_s)
+            warped = warped + self.rng.normal(
+                scale=self.jitter_std_s, size=len(warped)
+            )
         return warped
 
     def describe(self) -> dict:

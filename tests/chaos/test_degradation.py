@@ -47,10 +47,9 @@ class _WipeCsi(FaultInjector):
 
     name = "wipe_csi"
 
-    def corrupt(self, csi, rssi_dbm, time_s):
-        if csi is None:
-            return csi, rssi_dbm
-        return np.full(np.shape(csi), np.nan), rssi_dbm
+    def corrupt_rows(self, csi, rssi_dbm, has_csi, times_s):
+        csi[has_csi] = np.nan
+        return np.asarray(has_csi, dtype=bool).copy()
 
 
 class TestRssiFallback:

@@ -90,13 +90,13 @@ class TestBurstState:
         rng, _ = resolve_rng(None, 42)
         bursts = BurstState(duty_cycle=0.2, mean_burst_s=0.05, rng=rng)
         times = np.linspace(0.0, 200.0, 40001)
-        frac = np.mean([bursts.in_burst(float(t)) for t in times])
+        frac = np.mean(bursts.in_burst(times))
         assert 0.15 < frac < 0.25
 
     def test_zero_duty_never_bursts(self):
         rng, _ = resolve_rng(None, 0)
         bursts = BurstState(duty_cycle=0.0, mean_burst_s=1.0, rng=rng)
-        assert not any(bursts.in_burst(t) for t in np.linspace(0, 10, 100))
+        assert not bursts.in_burst(np.linspace(0, 10, 100)).any()
 
     def test_lazy_extension_is_query_order_independent(self):
         rng1, _ = resolve_rng(None, 3)
@@ -104,8 +104,8 @@ class TestBurstState:
         a = BurstState(0.3, 0.1, rng1)
         b = BurstState(0.3, 0.1, rng2)
         times = np.linspace(0.0, 4.0, 500)
-        fwd = [a.in_burst(float(t)) for t in times]
-        rev = [b.in_burst(float(t)) for t in reversed(times)]
+        fwd = [bool(a.in_burst([t])[0]) for t in times]
+        rev = [bool(b.in_burst([t])[0]) for t in reversed(times)]
         assert fwd == list(reversed(rev))
 
     def test_validation(self):
@@ -114,6 +114,17 @@ class TestBurstState:
             BurstState(1.0, 0.1, rng)
         with pytest.raises(FaultInjectionError):
             BurstState(0.5, 0.0, rng)
+
+
+def _corrupt_one(inj, csi, rssi, time_s):
+    """One record through ``inj``'s array hook; returns ``(csi, rssi)``."""
+    has_csi = csi is not None
+    csi_block = (np.array(csi, dtype=float)[None] if has_csi
+                 else np.empty((1, 0, 0)))
+    rssi_block = np.array(rssi, dtype=float)[None]
+    inj.corrupt_rows(csi_block, rssi_block, np.array([has_csi]),
+                     np.array([time_s]))
+    return (csi_block[0] if has_csi else None), rssi_block[0]
 
 
 class TestIndividualInjectors:
@@ -133,41 +144,48 @@ class TestIndividualInjectors:
     def test_nan_corruption_poisons_csi(self):
         inj = NanCorruption(probability=1.0, cells=4, seed=2)
         csi = np.ones((3, 30))
-        out, rssi = inj.corrupt(csi, np.zeros(3), 0.0)
+        out, rssi = _corrupt_one(inj, csi, np.zeros(3), 0.0)
         assert np.isnan(out).sum() == 4
         assert np.isfinite(rssi).all()
 
     def test_saturate_mode_uses_finite_sentinel(self):
         inj = NanCorruption(probability=1.0, cells=2, mode="saturate", seed=2)
-        out, _ = inj.corrupt(np.ones((3, 30)), np.zeros(3), 0.0)
+        out, _ = _corrupt_one(inj, np.ones((3, 30)), np.zeros(3), 0.0)
         assert np.isfinite(out).all()
         assert (out == inj.saturate_value).sum() == 2
 
     def test_agc_jump_scales_whole_record(self):
         inj = AgcJump(probability=1.0, max_jump_db=6.0, seed=4)
         csi = np.full((3, 30), 2.0)
-        out, _ = inj.corrupt(csi, np.zeros(3), 0.0)
+        out, _ = _corrupt_one(inj, csi, np.zeros(3), 0.0)
         ratio = out / csi
         assert np.allclose(ratio, ratio.flat[0])  # one gain for the packet
         assert 10 ** (-6 / 20) <= ratio.flat[0] <= 10 ** (6 / 20)
 
     def test_clock_drift_warps_timestamps(self):
         inj = ReaderClockDrift(drift_ppm=1000.0, jitter_std_s=0.0, seed=1)
-        assert inj.warp_timestamp(10.0) == pytest.approx(10.01)
+        assert inj.warp_times(np.array([10.0]))[0] == pytest.approx(10.01)
 
     def test_interference_moves_rssi(self):
         inj = InterferenceBurst(0.9999 - 1e-4, 1000.0, rssi_shift_db=10.0, seed=3)
         # duty ~1 with an enormous burst: t=5 is essentially surely in-burst
-        _, rssi = inj.corrupt(None, np.zeros(3), 5.0)
+        _, rssi = _corrupt_one(inj, None, np.zeros(3), 5.0)
         assert rssi.mean() > 5.0
 
     def test_csi_dropout_is_stable_within_a_burst(self):
-        inj = CsiDropout(0.5, 10.0, subchannel_fraction=0.2, seed=7)
+        params = dict(subchannel_fraction=0.2, seed=7)
         csi = np.ones((3, 30))
-        # find an in-burst instant
-        t = next(t for t in np.linspace(0, 50, 5000) if inj.in_burst(float(t)))
-        a, _ = inj.corrupt(csi, np.zeros(3), float(t))
-        b, _ = inj.corrupt(csi, np.zeros(3), float(t) + 1e-4)
+        # find an in-burst instant: the first row a twin injector touches
+        grid = np.linspace(0, 50, 5000)
+        twin = CsiDropout(0.5, 10.0, **params)
+        touched = twin.corrupt_rows(
+            np.ones((len(grid), 3, 30)), np.zeros((len(grid), 3)),
+            np.ones(len(grid), dtype=bool), grid,
+        )
+        t = float(grid[touched.argmax()])
+        inj = CsiDropout(0.5, 10.0, **params)
+        a, _ = _corrupt_one(inj, csi, np.zeros(3), t)
+        b, _ = _corrupt_one(inj, csi, np.zeros(3), t + 1e-4)
         assert np.array_equal(np.isnan(a), np.isnan(b))
         assert np.isnan(a).sum() == round(0.2 * csi.size)
 

@@ -5,6 +5,7 @@ nominal uplink operating point (100 bps, 30 packets/bit, 0.3 m) must
 still deliver >= 99% of frames within the 5-attempt ARQ budget.
 """
 
+import numpy as np
 import pytest
 
 from repro.errors import BrownoutError, DecodeError
@@ -119,8 +120,8 @@ class _AlwaysDark(FaultInjector):
 
     name = "always_dark"
 
-    def tag_powered(self, time_s):
-        return False
+    def dark_mask(self, times_s):
+        return np.ones(len(times_s), dtype=bool)
 
 
 class _AlwaysDropped(FaultInjector):
@@ -128,8 +129,8 @@ class _AlwaysDropped(FaultInjector):
 
     name = "always_dropped"
 
-    def drop_packet(self, time_s):
-        return True
+    def drop_mask(self, times_s):
+        return np.ones(len(times_s), dtype=bool)
 
 
 class TestBrownout:

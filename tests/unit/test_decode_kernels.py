@@ -101,6 +101,21 @@ def ref_condition(values, timestamps, window_s):
     return baseline, zero_mean / np.where(scale > 0, scale, 1.0), scale
 
 
+def ref_sanitize(values):
+    """The repair policy's per-column ``np.median`` loop."""
+    values = np.asarray(values, dtype=float)
+    bad = ~np.isfinite(values)
+    repaired = values.copy()
+    if repaired.ndim == 1:
+        repaired = repaired[:, None]
+        bad = bad[:, None]
+    for col in np.nonzero(bad.any(axis=0))[0]:
+        finite = repaired[~bad[:, col], col]
+        fill = float(np.median(finite)) if finite.size else 0.0
+        repaired[bad[:, col], col] = fill
+    return repaired.reshape(values.shape), int(bad.sum())
+
+
 def same_bits(a, b):
     """Equal values and dtypes, NaN matching NaN and -0.0 only -0.0."""
     a, b = np.asarray(a), np.asarray(b)
@@ -298,6 +313,47 @@ class TestConditioningOracle:
                                           nonfinite="propagate")
         assert same_bits(cond.normalized, normalized)
         assert same_bits(cond.scale, scale)
+
+
+class TestSanitizeOracle:
+    @pytest.mark.parametrize("column", [
+        [np.nan, 1.0, 2.0, 3.0],              # odd finite count
+        [np.nan, 1.0, 2.0, 3.0, 4.0],         # even finite count
+        [np.inf, -np.inf, 5.0, -2.0],         # +-inf are repaired too
+        [np.nan, -0.0, 1.0, -1.0],            # a -0.0 median
+        [np.nan, -0.0, -0.0],                 # an even pair of -0.0
+        [np.nan, 0.0, -0.0, 0.0, np.inf],     # zeros of both signs
+        [np.nan, np.inf, -np.inf],            # an all-bad column
+        [np.nan],
+        [1e308, 1.7e308, np.nan],             # the mean of the middle pair
+    ])
+    def test_edge_columns(self, column):
+        """Each column alone (1-D), and beside a clean column (2-D)."""
+        column = np.array(column)
+        for values in (column, np.stack([column, np.arange(len(column))], 1),
+                       np.stack([np.arange(len(column)), column], 1)):
+            with np.errstate(over="ignore"):
+                got = conditioning.sanitize(values, "repair")
+                expected = ref_sanitize(values)
+            assert same_bits(got[0], expected[0])
+            assert got[1] == expected[1]
+
+    @pytest.mark.parametrize("shape", [(500, 90), (301, 3), (1, 5), (40,)])
+    def test_awkward_matrices(self, shape):
+        values = awkward(shape, 7 + sum(shape))
+        got = conditioning.sanitize(values, "repair")
+        expected = ref_sanitize(values)
+        assert same_bits(got[0], expected[0])
+        assert got[1] == expected[1]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_fault_sweep_streams(self, seed):
+        for mode in ("csi", "rssi"):
+            stream = faulted_stream(seed)
+            values = (stream.flattened_csi() if mode == "csi"
+                      else stream.rssi_matrix())
+            got = conditioning.sanitize(values, "repair")
+            assert same_bits(got[0], ref_sanitize(values)[0])
 
 
 # -- finite counts ------------------------------------------------------------

@@ -3,7 +3,11 @@
 Recomputes digests of synthesized streams, Fig 10 BER trials, fault-plan
 runs and three micro-batched serve sessions (clean, faulted, and clean
 with metrics on), and compares them with
-``tests/golden/synthesis.json``.  Only integer-valued outputs are hashed:
+``tests/golden/synthesis.json``.  The fault cases also cover the entry
+points the Fig 10 sweep does not reach: the per-bit brownout mask of the
+downlink model, one plan carried across an ARQ session's frames and
+retries, per-helper masks, the MAC capture's per-frame hooks, and the
+``fault_*`` corpus scenarios.  Only integer-valued outputs are hashed:
 timestamp bytes, CSI in quantisation steps (non-finite cells as a
 separate mask), RSSI in dB, payload and decoded bits, error counts,
 fault evidence units, counters and delivered payloads.  So a digest does
@@ -19,6 +23,7 @@ say why::
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import sys
@@ -30,9 +35,13 @@ import numpy as np
 from repro import obs
 from repro.core.uplink_decoder import UplinkDecoder
 from repro.errors import ReproError
+from repro.core.barker import barker_bits
 from repro.faults.spec import parse_fault_spec
+from repro.scenarios import builtin_registry, run_scenario
 from repro.serve.gateway import ServeConfig, run_serve
 from repro.sim import link
+from repro.sim.scenario import build_injected_traffic_scenario
+from repro.tag.modulator import TagModulator, random_payload
 
 GOLDEN = Path(__file__).resolve().parents[1] / "golden" / "synthesis.json"
 
@@ -64,6 +73,20 @@ SERVE_SEED = 1
 SERVE_FAULT_SPEC = ("outage:duty=0.5,burst=0.5;"
                     "csi_dropout:duty=0.6,burst=0.3,frac=0.9;"
                     "nan:prob=0.05")
+#: Per-bit brownout mask of the downlink Monte-Carlo.
+DOWNLINK_SPEC = "brownout:duty=0.1,burst=0.05"
+DOWNLINK_SEED = 5
+#: One plan across an ARQ session's frames and retries.
+ARQ_SPEC = "outage:duty=0.2,burst=0.1;brownout:duty=0.15,burst=0.1"
+ARQ_SEED = 3
+MULTI_HELPERS = {"ap": (3.0, 800.0), "laptop": (5.0, 800.0)}
+MULTI_SEEDS = range(2)
+MAC_SEEDS = range(2)
+FAULT_SCENARIOS = (
+    "fault_outage_030cm", "fault_csi_dropout_030cm",
+    "fault_interference_045cm", "fault_nan_drift_030cm",
+    "fault_brownout_030cm",
+)
 #: The decode counters a serve session emits.
 SERVE_COUNTERS = (
     "uplink.decodes", "uplink.bits.total", "uplink.bits.errors",
@@ -128,44 +151,160 @@ def _ber_parts(mode, distance, packets_per_bit, seed, faults=None):
     return [result.errors, result.total_bits, result.runs]
 
 
+@contextlib.contextmanager
+def _pinned_recorder():
+    """Record with a fixed head policy and capacity, whatever an earlier
+    test configured, and restore the recorder afterwards."""
+    recorder = obs.get_recorder()
+    saved = (recorder.capacity, recorder.policy)
+    recorder.configure(capacity=256, policy="head")
+    try:
+        yield
+    finally:
+        recorder.configure(capacity=saved[0], policy=saved[1])
+
+
+def _recorded_parts(registry) -> list:
+    """The flight recorder's fault evidence and the integer counters."""
+    records = [
+        {
+            "kind": r["kind"],
+            "errors": r["errors"],
+            "error_bits": r["error_bits"],
+            "failure": r["failure"],
+            "faults": {
+                k: v for k, v in r["stages"].get("faults", {}).items()
+                if k not in ("tx_start_s", "unit_s")
+            },
+        }
+        for r in obs.get_recorder().records
+    ]
+    counters = {
+        name: int(entry["value"])
+        for name, entry in registry.snapshot().items()
+        if entry.get("type") == "counter"
+    }
+    return [records, counters]
+
+
 def _fault_case(mode, distance, seed, spec) -> str:
     """Synthesis, decode, BER and fault evidence under a fault spec."""
-    recorder = obs.get_recorder()
-    saved_policy = recorder.policy
-    with obs.session(metrics=True, tracing=False, recording=True) as (
-        registry, _
-    ):
-        recorder.configure(policy="head")
-        try:
-            synth = _synthesize_and_decode(
-                mode, distance, 10.0, seed,
-                faults=parse_fault_spec(spec, base_seed=seed),
-            )
-            ber = _ber_parts(
-                mode, distance, 10.0, seed,
-                faults=parse_fault_spec(spec, base_seed=seed),
-            )
-            records = [
-                {
-                    "kind": r["kind"],
-                    "errors": r["errors"],
-                    "error_bits": r["error_bits"],
-                    "failure": r["failure"],
-                    "faults": {
-                        k: v for k, v in r["stages"].get("faults", {}).items()
-                        if k not in ("tx_start_s", "unit_s")
-                    },
-                }
-                for r in recorder.records
-            ]
-            counters = {
-                name: int(entry["value"])
-                for name, entry in registry.snapshot().items()
-                if entry.get("type") == "counter"
-            }
-        finally:
-            recorder.configure(policy=saved_policy)
-    return _digest(*synth, ber, records, counters)
+    with _pinned_recorder(), obs.session(
+        metrics=True, tracing=False, recording=True
+    ) as (registry, _):
+        synth = _synthesize_and_decode(
+            mode, distance, 10.0, seed,
+            faults=parse_fault_spec(spec, base_seed=seed),
+        )
+        ber = _ber_parts(
+            mode, distance, 10.0, seed,
+            faults=parse_fault_spec(spec, base_seed=seed),
+        )
+        recorded = _recorded_parts(registry)
+    return _digest(*synth, ber, *recorded)
+
+
+def _row_stream_parts(stream):
+    """Like :func:`_stream_parts`, for streams with RSSI-only rows and
+    several sources."""
+    csi = stream.csi
+    finite = np.isfinite(csi)
+    codes = np.round(np.where(finite, csi, 0.0) / CSI_STEP).astype("<i8")
+    return (
+        np.asarray(stream.timestamps, dtype="<f8"),
+        np.asarray(stream.has_csi),
+        codes,
+        ~finite,
+        np.round(stream.rssi_matrix()).astype("<i8"),
+        [str(s) for s in stream.sources],
+    )
+
+
+def _decoded(stream, num_bits, bit_duration_s, start_s):
+    try:
+        result = UplinkDecoder().decode_bits(
+            stream, num_bits, bit_duration_s, start_time_s=start_s,
+        )
+    except ReproError as exc:
+        return type(exc).__name__
+    return [int(b) for b in result.bits]
+
+
+def _downlink_case() -> str:
+    with obs.session(metrics=True, tracing=False) as (registry, _):
+        result = link.run_downlink_ber(
+            2.0, 1.0 / 20000, num_bits=200_000, seed=DOWNLINK_SEED,
+            faults=parse_fault_spec(DOWNLINK_SPEC, base_seed=DOWNLINK_SEED),
+        )
+        counters = _recorded_parts(registry)[1]
+    return _digest([result.errors, result.total_bits], counters)
+
+
+def _arq_case() -> str:
+    with _pinned_recorder(), obs.session(
+        metrics=True, tracing=False, recording=True
+    ) as (registry, _):
+        result = link.run_arq_uplink(
+            0.3, num_frames=6, seed=ARQ_SEED,
+            faults=parse_fault_spec(ARQ_SPEC, base_seed=ARQ_SEED),
+        )
+        recorded = _recorded_parts(registry)
+    outcomes = [
+        [o.delivered, o.correct, o.attempts, o.mode, o.degraded]
+        for o in result.outcomes
+    ]
+    return _digest(outcomes, *recorded)
+
+
+def _multi_helper_case(seed) -> str:
+    rng = np.random.default_rng(seed)
+    payload = random_payload(30, rng)
+    bit_s = 1.0 / BIT_RATE_BPS
+    with obs.session(metrics=True, tracing=False) as (registry, _):
+        stream, tx_start = link.simulate_multi_helper_stream(
+            barker_bits() + payload, bit_s, MULTI_HELPERS, 0.1, rng=rng,
+            faults=parse_fault_spec(FAULT_SPEC, base_seed=seed),
+        )
+        counters = _recorded_parts(registry)[1]
+    return _digest(
+        *_row_stream_parts(stream), np.asarray(tx_start, dtype="<f8"),
+        payload, _decoded(stream, 30, bit_s, tx_start), counters,
+    )
+
+
+def _mac_case(seed) -> str:
+    """The MAC capture's per-frame fault hooks over a DCF network."""
+    rng = np.random.default_rng(seed)
+    payload = random_payload(20, rng)
+    bits = barker_bits() + payload
+    bit_s = 1.0 / BIT_RATE_BPS
+    tx_start = 0.6
+    modulator = TagModulator(bit_duration_s=bit_s)
+    modulator.load_bits(bits, tx_start)
+    with obs.session(metrics=True, tracing=False) as (registry, _):
+        scenario = build_injected_traffic_scenario(
+            1000.0, tag_to_reader_m=0.05, tag_state=modulator.state,
+            seed=seed,
+        )
+        scenario.capture.faults = parse_fault_spec(MIXED_SPEC, base_seed=seed)
+        scenario.run(tx_start + len(bits) * bit_s + 0.6)
+        stream = scenario.measurements()
+        counters = _recorded_parts(registry)[1]
+    return _digest(
+        *_row_stream_parts(stream), payload,
+        _decoded(stream, 20, bit_s, tx_start), counters,
+    )
+
+
+def _scenario_case(name) -> str:
+    """A corpus fault scenario: its counts, attribution and evidence."""
+    with _pinned_recorder():
+        result = run_scenario(builtin_registry().get(name), seed=0)
+        recorded = _recorded_parts(obs.get_registry())
+    metrics = {k: result.metrics[k] for k in ("errors", "total_bits")}
+    return _digest(
+        metrics, result.attribution, result.dominant_label, *recorded
+    )
 
 
 def _serve_parts(result) -> list:
@@ -229,6 +368,14 @@ def compute() -> Dict[str, str]:
     out[f"serve/seed{SERVE_SEED}"] = _serve_case()
     out[f"serve-faults/seed{SERVE_SEED}"] = _serve_faults_case()
     out[f"serve-metrics/seed{SERVE_SEED}"] = _serve_metrics_case()
+    out[f"downlink-brownout/seed{DOWNLINK_SEED}"] = _downlink_case()
+    out[f"arq-faults/seed{ARQ_SEED}"] = _arq_case()
+    for seed in MULTI_SEEDS:
+        out[f"multi-helper-faults/seed{seed}"] = _multi_helper_case(seed)
+    for seed in MAC_SEEDS:
+        out[f"mac-mixed/seed{seed}"] = _mac_case(seed)
+    for name in FAULT_SCENARIOS:
+        out[f"scenario/{name}"] = _scenario_case(name)
     return out
 
 
