@@ -800,38 +800,6 @@ def _cmd_bench(args: argparse.Namespace):
     return CommandOutput(title="", rows=[], data=data), rendered
 
 
-def _cmd_perf_report(args: argparse.Namespace):
-    """Render the performance sections of a run manifest."""
-    from repro.obs.perf.report import (
-        render_alerts,
-        render_profile,
-        render_timeseries,
-    )
-
-    try:
-        manifest = obs.load_manifest(args.manifest)
-    except FileNotFoundError:
-        raise SystemExit(f"no such manifest: {args.manifest}")
-    data = manifest.to_dict()
-    sections = [f"perf report: {data.get('name', '?')}"]
-    profile = data.get("profile") or {}
-    sections.append(
-        render_profile(profile) if profile
-        else "(no profile recorded — rerun with --profile)"
-    )
-    series = {
-        name: summary
-        for name, summary in (data.get("metrics") or {}).items()
-        if summary.get("type") == "timeseries"
-    }
-    if series:
-        sections.append(render_timeseries(series))
-    alerts = (data.get("extra") or {}).get("alerts") or []
-    if alerts:
-        sections.append(render_alerts(alerts))
-    return CommandOutput(title="", rows=[], data=data), "\n\n".join(sections)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -1038,6 +1006,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_forensics)
 
     p = sub.add_parser("obs-report", parents=[common],
+                       aliases=["perf-report"],
                        help="render a run manifest written by --metrics-out "
                             "(soak documents and serve telemetry streams "
                             "are auto-detected)")
@@ -1116,11 +1085,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check", action="store_true",
                    help="run EWMA trend detection; regressions exit 5")
     p.set_defaults(func=_cmd_history)
-
-    p = sub.add_parser("perf-report", parents=[common],
-                       help="render the perf sections of a run manifest")
-    p.add_argument("manifest", help="manifest JSON path")
-    p.set_defaults(func=_cmd_perf_report)
 
     p = sub.add_parser("bench", parents=[common],
                        help="run the benchmark workload matrix")

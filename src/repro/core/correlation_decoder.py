@@ -92,24 +92,6 @@ class CorrelationDecoder:
         sums[nonzero] /= counts[nonzero, None]
         return sums
 
-    def _reference_chip_means(
-        self,
-        normalized: np.ndarray,
-        timestamps_s: np.ndarray,
-        start_time_s: float,
-        chip_duration_s: float,
-        num_chips: int,
-    ) -> np.ndarray:
-        """Pre-vectorization per-chip loop, kept as the equivalence
-        oracle for :meth:`_chip_means` (tests only)."""
-        idx = np.floor((timestamps_s - start_time_s) / chip_duration_s).astype(int)
-        out = np.zeros((num_chips, normalized.shape[1]))
-        for k in range(num_chips):
-            sel = idx == k
-            if np.any(sel):
-                out[k] = normalized[sel].mean(axis=0)
-        return out
-
     def decode_bits(
         self,
         stream: MeasurementStream,

@@ -229,59 +229,6 @@ def detect_preamble(
     )
 
 
-def _reference_detect_preamble(
-    normalized: np.ndarray,
-    timestamps_s: np.ndarray,
-    preamble_bits: Sequence[int],
-    bit_duration_s: float,
-    search_step_s: Optional[float] = None,
-    min_score: float = 0.0,
-) -> PreambleDetection:
-    """Pre-vectorization per-offset search, kept as the equivalence
-    oracle for :func:`detect_preamble` (tests only — O(candidates)
-    Python-loop iterations of :func:`correlate_at`)."""
-    timestamps = np.asarray(timestamps_s, dtype=float)
-    if len(timestamps) == 0:
-        raise PreambleNotFound("empty measurement stream")
-    if bit_duration_s <= 0:
-        raise ConfigurationError("bit_duration_s must be positive")
-    preamble_span = len(preamble_bits) * bit_duration_s
-    t_first, t_last = timestamps[0], timestamps[-1]
-    if t_last - t_first < preamble_span:
-        raise PreambleNotFound(
-            f"stream spans {t_last - t_first:.3f} s, shorter than the "
-            f"{preamble_span:.3f} s preamble"
-        )
-    step = search_step_s if search_step_s is not None else bit_duration_s / 4.0
-    if step <= 0:
-        raise ConfigurationError("search_step_s must be positive")
-    candidates = np.arange(t_first, t_last - preamble_span + step, step)
-    best_score = -np.inf
-    best_start = candidates[0]
-    best_corr: Optional[np.ndarray] = None
-    for t0 in candidates:
-        corr = correlate_at(
-            normalized, timestamps, t0, preamble_bits, bit_duration_s
-        )
-        score = float(np.abs(corr).sum())
-        if score > best_score:
-            best_score = score
-            best_start = float(t0)
-            best_corr = corr
-    assert best_corr is not None
-    if best_score < min_score:
-        raise PreambleNotFound(
-            f"best correlation score {best_score:.3f} below threshold "
-            f"{min_score:.3f}"
-        )
-    return PreambleDetection(
-        start_time_s=best_start,
-        correlations=best_corr,
-        score=best_score,
-        threshold=min_score,
-    )
-
-
 def select_good_subchannels(
     correlations: np.ndarray, count: int = DEFAULT_GOOD_COUNT
 ) -> np.ndarray:

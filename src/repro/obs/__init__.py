@@ -3,9 +3,9 @@
 The whole link simulation (phy -> tag -> mac -> core decoders -> sim
 drivers -> benchmarks) reports through this package:
 
-* **Metrics** — counters/gauges/histograms/timers in an in-process
-  :class:`~repro.obs.metrics.MetricsRegistry` with JSON and
-  line-protocol export.
+* **Metrics** — counters, gauges, histograms (DDSketch) and time
+  series in an in-process :class:`~repro.obs.metrics.MetricsRegistry`
+  with JSON and line-protocol export.
 * **Spans** — :func:`span` context-manager/decorator recording
   wall-time, hierarchy, and structured attributes per pipeline stage.
 * **Manifests** — :func:`record_run` captures seed, calibrated
@@ -66,10 +66,8 @@ from repro.obs.manifest import (
 from repro.obs.metrics import (
     Counter,
     Gauge,
-    Histogram,
     MetricsRegistry,
     NULL_METRIC,
-    Timer,
 )
 from repro.obs.perf import (
     AlertEvent,
@@ -118,16 +116,9 @@ def gauge(name: str):
 
 
 def histogram(name: str):
-    """Live :class:`Histogram` while metrics are on, else a no-op."""
+    """Live :class:`QuantileSketch` while metrics are on, else a no-op."""
     if state.metrics_enabled():
         return state.get_registry().histogram(name)
-    return NULL_METRIC
-
-
-def timer(name: str):
-    """Live :class:`Timer` while metrics are on, else a no-op."""
-    if state.metrics_enabled():
-        return state.get_registry().timer(name)
     return NULL_METRIC
 
 
@@ -135,23 +126,6 @@ def timeseries(name: str, capacity=None):
     """Live :class:`TimeSeries` while metrics are on, else a no-op."""
     if state.metrics_enabled():
         return state.get_registry().timeseries(name, capacity=capacity)
-    return NULL_METRIC
-
-
-def quantile_sketch(name: str, alpha=None, max_buckets=None):
-    """Live :class:`QuantileSketch` while metrics are on, else a no-op."""
-    if state.metrics_enabled():
-        return state.get_registry().quantile_sketch(
-            name, alpha=alpha, max_buckets=max_buckets
-        )
-    return NULL_METRIC
-
-
-def heavy_hitters(name: str, capacity=None):
-    """Live :class:`SpaceSavingSketch` while metrics are on, else a
-    no-op."""
-    if state.metrics_enabled():
-        return state.get_registry().heavy_hitters(name, capacity=capacity)
     return NULL_METRIC
 
 
@@ -164,7 +138,6 @@ __all__ = [
     "ExemplarReservoir",
     "FleetAggregator",
     "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "NULL_METRIC",
     "QuantileSketch",
@@ -175,7 +148,6 @@ __all__ = [
     "Span",
     "TagHealthRegistry",
     "TimeSeries",
-    "Timer",
     "Tracer",
     "add_ops",
     "build_manifest",
@@ -196,7 +168,6 @@ __all__ = [
     "get_registry",
     "get_tracer",
     "git_sha",
-    "heavy_hitters",
     "histogram",
     "jsonable",
     "load_manifest",
@@ -206,7 +177,6 @@ __all__ = [
     "parse_line_protocol",
     "profile",
     "profiling_enabled",
-    "quantile_sketch",
     "read_json",
     "record_run",
     "recording_enabled",
@@ -216,7 +186,6 @@ __all__ = [
     "state",
     "telemetry_to_line_protocol",
     "telemetry_to_prometheus",
-    "timer",
     "timeseries",
     "tracing_enabled",
     "write_json",

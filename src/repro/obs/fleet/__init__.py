@@ -45,8 +45,6 @@ from repro.obs.fleet.sketch import (
     DEFAULT_MAX_BUCKETS,
     QuantileSketch,
     SpaceSavingSketch,
-    heavy_hitters_from_payload,
-    sketch_from_payload,
 )
 
 __all__ = [
@@ -61,10 +59,8 @@ __all__ = [
     "SpaceSavingSketch",
     "TagHealth",
     "TagHealthRegistry",
-    "heavy_hitters_from_payload",
     "is_fleet_artifact",
     "render_fleet_artifact",
     "render_fleet_block",
     "render_offenders",
-    "sketch_from_payload",
 ]

@@ -42,13 +42,11 @@ class FleetAggregator:
         self,
         capacity: int = 64,
         top_k: int = 8,
-        alpha: float = 0.01,
         z_threshold: float = 3.0,
         min_requests: int = 3,
     ) -> None:
         self.top_k = int(top_k)
-        self.latency = QuantileSketch("fleet.latency.virtual_s",
-                                      alpha=alpha)
+        self.latency = QuantileSketch("fleet.latency.virtual_s")
         self.offenders: Dict[str, SpaceSavingSketch] = {
             kind: SpaceSavingSketch(f"fleet.offenders.{kind}",
                                     capacity=self.top_k)

@@ -1,16 +1,18 @@
 """Mergeable fixed-memory sketches for fleet-scale telemetry.
 
-Per-run observability (ring buffers, sample histograms, exemplar
-reservoirs) keeps raw samples; that stops scaling the moment one
-gateway serves thousands of tags.  This module provides the two
-fixed-memory summaries the fleet layer is built on:
+Raw samples (ring buffers, exemplar reservoirs) stop scaling the
+moment one gateway serves thousands of tags or one run decodes tens of
+thousands of packets.  This module provides the two fixed-memory
+summaries the fleet layer and the metrics registry are built on:
 
 * :class:`QuantileSketch` — a DDSketch-style relative-error quantile
-  sketch.  Values land in geometric buckets ``(gamma**(k-1),
-  gamma**k]`` with ``gamma = (1 + alpha) / (1 - alpha)``, so any
-  reported quantile is within a factor ``(1 +/- alpha)`` of the true
-  order statistic.  Memory is bounded by ``max_buckets`` (lowest
-  buckets collapse first, biasing only the extreme low tail).
+  sketch (Masson et al., VLDB 2019), and the registry's histogram.
+  Values land in geometric buckets ``(gamma**(k-1), gamma**k]`` of
+  ``|v|`` with ``gamma = (1 + alpha) / (1 - alpha)``, one store per
+  sign, so any reported quantile is within a factor ``(1 +/- alpha)``
+  of the true order statistic over the whole stream.  Memory is
+  bounded by ``max_buckets`` per store (the buckets nearest zero
+  collapse first, biasing only the values closest to zero).
 * :class:`SpaceSavingSketch` — a space-saving heavy-hitter summary
   over at most ``capacity`` keys.  Counts are overestimates; each
   counter carries the maximum possible overcount (``error``), and any
@@ -33,7 +35,9 @@ equivalent sketch in another process and refuse mismatched configs.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.errors import ConfigurationError
 
@@ -56,13 +60,17 @@ DEFAULT_HH_CAPACITY = 8
 class QuantileSketch:
     """DDSketch-style quantile sketch with bounded relative error.
 
+    Positive values land in ``_buckets`` and values below
+    ``-MIN_TRACKED_VALUE`` in ``_negative``, keyed by the same grid over
+    ``|v|``; everything in between counts as an exact zero.
+
     Attributes:
         name: dotted metric name.
         alpha: relative-error bound in (0, 1).
         gamma: bucket growth factor ``(1 + alpha) / (1 - alpha)``.
         count: total observations (including zeros).
-        zero_count: observations at or below :data:`MIN_TRACKED_VALUE`.
-        collapsed: low-bucket collapse events (0 = sketch is exact
+        zero_count: observations with ``|v| <= MIN_TRACKED_VALUE``.
+        collapsed: bucket collapse events (0 = sketch is exact
             within the alpha bound everywhere).
     """
 
@@ -70,7 +78,7 @@ class QuantileSketch:
 
     __slots__ = ("name", "alpha", "gamma", "max_buckets", "count",
                  "zero_count", "total", "min", "max", "collapsed",
-                 "_buckets", "_inv_log_gamma")
+                 "_buckets", "_negative", "_inv_log_gamma")
 
     def __init__(
         self,
@@ -97,53 +105,67 @@ class QuantileSketch:
         self.max = -math.inf
         self.collapsed = 0
         #: bucket key -> observation count; key k covers
-        #: (gamma**(k-1), gamma**k].
+        #: (gamma**(k-1), gamma**k] (of -v in ``_negative``).
         self._buckets: Dict[int, int] = {}
+        self._negative: Dict[int, int] = {}
         self._inv_log_gamma = 1.0 / math.log(self.gamma)
 
     # -- ingest -------------------------------------------------------------
 
-    def bucket_key(self, value: float) -> int:
-        """The bucket index covering ``value`` (> MIN_TRACKED_VALUE)."""
-        return int(math.ceil(math.log(value) * self._inv_log_gamma))
-
     def observe(self, value: float) -> None:
-        """Record one observation (must be >= 0; NaN rejected)."""
-        v = float(value)
-        if math.isnan(v) or v < 0.0:
-            raise ConfigurationError(
-                f"quantile sketch {self.name!r} requires finite values "
-                f">= 0, got {value!r}"
-            )
-        self.count += 1
-        self.total += v
-        if v < self.min:
-            self.min = v
-        if v > self.max:
-            self.max = v
-        if v <= MIN_TRACKED_VALUE:
-            self.zero_count += 1
-            return
-        key = self.bucket_key(v)
-        self._buckets[key] = self._buckets.get(key, 0) + 1
-        if len(self._buckets) > self.max_buckets:
-            self._collapse()
+        """Record one observation (NaN and infinities rejected)."""
+        self.observe_many((value,))
 
     def observe_many(self, values) -> None:
-        for v in values:
-            self.observe(v)
+        """Record observations in order (an iterable or an array)."""
+        if isinstance(values, np.ndarray):
+            values = values.ravel().tolist()
+        log, ceil, inf = math.log, math.ceil, math.inf
+        inv_log_gamma = self._inv_log_gamma
+        positive, negative = self._buckets, self._negative
+        max_buckets = self.max_buckets
+        count, zeros, total = self.count, self.zero_count, self.total
+        lo, hi = self.min, self.max
+        try:
+            for value in values:
+                v = float(value)
+                if not -inf < v < inf:
+                    raise ConfigurationError(
+                        f"quantile sketch {self.name!r} requires finite "
+                        f"values, got {value!r}"
+                    )
+                count += 1
+                total += v
+                if v < lo:
+                    lo = v
+                if v > hi:
+                    hi = v
+                if v > MIN_TRACKED_VALUE:
+                    store = positive
+                elif v < -MIN_TRACKED_VALUE:
+                    store, v = negative, -v
+                else:
+                    zeros += 1
+                    continue
+                key = ceil(log(v) * inv_log_gamma)
+                store[key] = store.get(key, 0) + 1
+                if len(store) > max_buckets:
+                    self._collapse(store)
+        finally:
+            self.count, self.zero_count, self.total = count, zeros, total
+            self.min, self.max = lo, hi
 
-    def _collapse(self) -> None:
-        """Fold the lowest buckets together until within the bound.
+    def _collapse(self, store: Dict[int, int]) -> None:
+        """Fold a store's buckets nearest zero together until within
+        the bound.
 
-        Collapsing upward into the smallest retained bucket only ever
-        *overestimates* the extreme low tail; mid/high quantiles keep
-        the alpha guarantee.
+        Collapsing away from zero only ever biases the estimates nearest
+        zero; the tails keep the alpha guarantee.
         """
-        while len(self._buckets) > self.max_buckets:
-            keys = sorted(self._buckets)
+        while len(store) > self.max_buckets:
+            keys = sorted(store)
             lowest, second = keys[0], keys[1]
-            self._buckets[second] += self._buckets.pop(lowest)
+            store[second] += store.pop(lowest)
             self.collapsed += 1
 
     # -- query --------------------------------------------------------------
@@ -156,25 +178,33 @@ class QuantileSketch:
         """Estimate the ``q``-quantile (q in [0, 1]); None when empty.
 
         The estimate is within relative error ``alpha`` of the true
-        order statistic at rank ``ceil(q * count) - 1`` for all values
-        above :data:`MIN_TRACKED_VALUE` (exactly 0.0 for the zero
-        region), provided no low-bucket collapse has occurred below
-        that rank.
+        order statistic at rank ``ceil(q * count) - 1`` whenever that
+        statistic's magnitude exceeds :data:`MIN_TRACKED_VALUE` (exactly
+        0.0 for the zero region), provided no collapse has folded its
+        bucket.
         """
         if not (0.0 <= q <= 1.0):
             raise ConfigurationError("quantile q must be in [0, 1]")
         if self.count == 0:
             return None
         rank = max(0, int(math.ceil(q * self.count)) - 1)
-        if rank < self.zero_count:
+        cum = 0
+        for key in sorted(self._negative, reverse=True):
+            cum += self._negative[key]
+            if cum > rank:
+                return -self._estimate(key)
+        cum += self.zero_count
+        if rank < cum:
             return 0.0
-        cum = self.zero_count
         for key in sorted(self._buckets):
             cum += self._buckets[key]
             if cum > rank:
-                return 2.0 * self.gamma ** key / (self.gamma + 1.0)
+                return self._estimate(key)
         # Float-rounding fallback: rank beyond every bucket.
         return self.max if self.max > -math.inf else 0.0
+
+    def _estimate(self, key: int) -> float:
+        return 2.0 * self.gamma ** key / (self.gamma + 1.0)
 
     def percentile(self, p: float) -> Optional[float]:
         """Percentile variant of :meth:`quantile` (p in [0, 100])."""
@@ -192,7 +222,7 @@ class QuantileSketch:
             "count": self.count,
             "zero_count": self.zero_count,
             "alpha": self.alpha,
-            "buckets": len(self._buckets),
+            "buckets": len(self._buckets) + len(self._negative),
             "collapsed": self.collapsed,
             "min": self.min,
             "max": self.max,
@@ -205,8 +235,9 @@ class QuantileSketch:
     # -- merge contract -----------------------------------------------------
 
     def to_payload(self) -> Dict[str, object]:
-        """Lossless, canonical (sorted-bucket) export for merging."""
-        return {
+        """Lossless, canonical (sorted-bucket) export for merging; the
+        ``negative`` store rides along only when non-empty."""
+        payload: Dict[str, object] = {
             "alpha": self.alpha,
             "max_buckets": self.max_buckets,
             "count": self.count,
@@ -218,13 +249,18 @@ class QuantileSketch:
             "buckets": [[k, self._buckets[k]]
                         for k in sorted(self._buckets)],
         }
+        if self._negative:
+            payload["negative"] = [[k, self._negative[k]]
+                                   for k in sorted(self._negative)]
+        return payload
 
     def merge_payload(self, payload: Dict[str, object]) -> None:
         """Fold another sketch's :meth:`to_payload` into this one.
 
         Bucket counts add exactly, so merging is commutative and
-        associative (and the identity is an empty sketch) whenever the
-        combined bucket set stays within ``max_buckets``.  Mismatched
+        associative (and the identity is an empty sketch) whenever each
+        combined store stays within ``max_buckets``.  Only ``total``
+        depends on merge order, through float addition.  Mismatched
         ``alpha`` is a configuration error — the bucket grids would not
         line up.
         """
@@ -243,11 +279,13 @@ class QuantileSketch:
         self.min = min(self.min, float(payload.get("min", math.inf)))
         self.max = max(self.max, float(payload.get("max", -math.inf)))
         self.collapsed += int(payload.get("collapsed", 0))
-        for key, n in payload.get("buckets", []):
-            k = int(key)
-            self._buckets[k] = self._buckets.get(k, 0) + int(n)
-        if len(self._buckets) > self.max_buckets:
-            self._collapse()
+        for store, field in ((self._buckets, "buckets"),
+                             (self._negative, "negative")):
+            for key, n in payload.get(field, []):
+                k = int(key)
+                store[k] = store.get(k, 0) + int(n)
+            if len(store) > self.max_buckets:
+                self._collapse(store)
 
     def merge(self, other: "QuantileSketch") -> None:
         self.merge_payload(other.to_payload())
@@ -405,27 +443,3 @@ class SpaceSavingSketch:
     def merge(self, other: "SpaceSavingSketch") -> None:
         self.merge_payload(other.to_payload())
 
-
-def sketch_from_payload(
-    name: str, payload: Dict[str, Any]
-) -> QuantileSketch:
-    """Rebuild a :class:`QuantileSketch` from its payload."""
-    sketch = QuantileSketch(
-        name,
-        alpha=float(payload.get("alpha", DEFAULT_ALPHA)),
-        max_buckets=int(payload.get("max_buckets", DEFAULT_MAX_BUCKETS)),
-    )
-    sketch.merge_payload(payload)
-    return sketch
-
-
-def heavy_hitters_from_payload(
-    name: str, payload: Dict[str, Any]
-) -> SpaceSavingSketch:
-    """Rebuild a :class:`SpaceSavingSketch` from its payload."""
-    sketch = SpaceSavingSketch(
-        name,
-        capacity=int(payload.get("capacity", DEFAULT_HH_CAPACITY)),
-    )
-    sketch.merge_payload(payload)
-    return sketch

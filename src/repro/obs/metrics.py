@@ -1,9 +1,13 @@
-"""In-process metrics: counters, gauges, histograms, timers.
+"""In-process metrics: counters, gauges, histograms, time series.
 
 Zero-dependency aggregation designed for the simulation pipeline: a
-metric is a named slot in a :class:`MetricsRegistry`; histograms keep
-streaming aggregates (count/sum/min/max) plus a bounded sample buffer
-so snapshots can report percentiles without unbounded memory.
+metric is a named slot in a :class:`MetricsRegistry`.  A histogram is a
+:class:`~repro.obs.fleet.sketch.QuantileSketch` (DDSketch): every
+observation lands in a relative-error bucket, so snapshot percentiles
+cover the whole run within ``alpha`` in bounded memory, and worker
+sketches merge by adding bucket counts.  A
+:class:`~repro.obs.perf.timeseries.TimeSeries` keeps its recent samples
+in time order for windowed SLOs.
 
 Naming convention (see ``docs/observability.md``): dot-separated,
 ``<subsystem>.<stage>.<quantity>`` — e.g. ``uplink.mrc.weight``,
@@ -13,18 +17,14 @@ the name.
 
 from __future__ import annotations
 
-import math
 import time
 from typing import Dict, Iterable, List, Optional
 
 from repro.errors import ConfigurationError
 from repro.obs.export import escape_measurement as _escape_measurement
 from repro.obs.export import escape_tag as _escape_tag
-from repro.obs.fleet.sketch import QuantileSketch, SpaceSavingSketch
-from repro.obs.perf.timeseries import TimeSeries, percentile_of
-
-#: Bound on stored histogram samples; aggregates keep counting past it.
-MAX_SAMPLES = 2048
+from repro.obs.fleet.sketch import QuantileSketch
+from repro.obs.perf.timeseries import TimeSeries
 
 
 class Counter:
@@ -67,95 +67,6 @@ class Gauge:
         return {"type": self.kind, "value": self.value, "writes": self.writes}
 
 
-class Histogram:
-    """Streaming distribution aggregate with a bounded sample buffer."""
-
-    kind = "histogram"
-
-    __slots__ = ("name", "count", "total", "min", "max", "samples")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.count = 0
-        self.total = 0.0
-        self.min = math.inf
-        self.max = -math.inf
-        self.samples: List[float] = []
-
-    def observe(self, value: float) -> None:
-        v = float(value)
-        self.count += 1
-        self.total += v
-        if v < self.min:
-            self.min = v
-        if v > self.max:
-            self.max = v
-        if len(self.samples) < MAX_SAMPLES:
-            self.samples.append(v)
-
-    def observe_many(self, values: Iterable[float]) -> None:
-        for v in values:
-            self.observe(v)
-
-    @property
-    def mean(self) -> Optional[float]:
-        return self.total / self.count if self.count else None
-
-    def percentile(self, p: float) -> Optional[float]:
-        """Percentile from the stored samples (None when empty).
-
-        Args:
-            p: percentile in [0, 100].
-        """
-        if not 0 <= p <= 100:
-            raise ConfigurationError("percentile must be in [0, 100]")
-        if not self.samples:
-            return None
-        return percentile_of(sorted(self.samples), p)
-
-    def summary(self) -> Dict[str, object]:
-        if self.count == 0:
-            return {"type": self.kind, "count": 0}
-        return {
-            "type": self.kind,
-            "count": self.count,
-            "sum": self.total,
-            "min": self.min,
-            "max": self.max,
-            "mean": self.mean,
-            "p50": self.percentile(50),
-            "p95": self.percentile(95),
-        }
-
-
-class Timer(Histogram):
-    """Histogram of elapsed wall-clock seconds with a timing helper."""
-
-    kind = "timer"
-
-    __slots__ = ()
-
-    def time(self) -> "_TimerContext":
-        """Context manager recording the block's duration in seconds."""
-        return _TimerContext(self)
-
-
-class _TimerContext:
-    __slots__ = ("_timer", "_start")
-
-    def __init__(self, timer: Timer) -> None:
-        self._timer = timer
-        self._start = 0.0
-
-    def __enter__(self) -> "_TimerContext":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self._timer.observe(time.perf_counter() - self._start)
-        return False
-
-
 class MetricsRegistry:
     """Named metrics with typed accessors and snapshot export.
 
@@ -174,7 +85,7 @@ class MetricsRegistry:
                 raise ConfigurationError("metric name must be non-empty")
             metric = cls(name)
             self._metrics[name] = metric
-        elif not isinstance(metric, cls) or metric.kind != cls.kind:
+        elif not isinstance(metric, cls):
             raise ConfigurationError(
                 f"metric {name!r} is a {metric.kind}, not a {cls.kind}"
             )
@@ -186,15 +97,10 @@ class MetricsRegistry:
     def gauge(self, name: str) -> Gauge:
         return self._get(name, Gauge)
 
-    def histogram(self, name: str) -> Histogram:
-        # A Timer is-a Histogram; keep the kinds distinct.
-        metric = self._metrics.get(name)
-        if isinstance(metric, Timer):
-            raise ConfigurationError(f"metric {name!r} is a timer, not a histogram")
-        return self._get(name, Histogram)
-
-    def timer(self, name: str) -> Timer:
-        return self._get(name, Timer)
+    def histogram(self, name: str) -> QuantileSketch:
+        """A :class:`QuantileSketch` at the default alpha (created on
+        first use)."""
+        return self._get(name, QuantileSketch)
 
     def timeseries(self, name: str, capacity: Optional[int] = None) -> TimeSeries:
         """A ring-buffer :class:`TimeSeries` (created on first use).
@@ -215,59 +121,6 @@ class MetricsRegistry:
         elif not isinstance(metric, TimeSeries):
             raise ConfigurationError(
                 f"metric {name!r} is a {metric.kind}, not a timeseries"
-            )
-        return metric
-
-    def quantile_sketch(
-        self,
-        name: str,
-        alpha: Optional[float] = None,
-        max_buckets: Optional[int] = None,
-    ) -> QuantileSketch:
-        """A mergeable :class:`QuantileSketch` (created on first use).
-
-        Like :meth:`timeseries`, ``alpha``/``max_buckets`` are
-        creation-time hints: re-requesting an existing sketch with
-        different values keeps the original (the bucket grid is fixed
-        at creation).
-        """
-        metric = self._metrics.get(name)
-        if metric is None:
-            if not name:
-                raise ConfigurationError("metric name must be non-empty")
-            kwargs = {}
-            if alpha is not None:
-                kwargs["alpha"] = alpha
-            if max_buckets is not None:
-                kwargs["max_buckets"] = max_buckets
-            metric = QuantileSketch(name, **kwargs)
-            self._metrics[name] = metric
-        elif not isinstance(metric, QuantileSketch):
-            raise ConfigurationError(
-                f"metric {name!r} is a {metric.kind}, "
-                "not a quantile_sketch"
-            )
-        return metric
-
-    def heavy_hitters(
-        self, name: str, capacity: Optional[int] = None
-    ) -> SpaceSavingSketch:
-        """A mergeable :class:`SpaceSavingSketch` (created on first
-        use); ``capacity`` is a creation-time hint like
-        :meth:`timeseries` capacity."""
-        metric = self._metrics.get(name)
-        if metric is None:
-            if not name:
-                raise ConfigurationError("metric name must be non-empty")
-            if capacity is None:
-                metric = SpaceSavingSketch(name)
-            else:
-                metric = SpaceSavingSketch(name, capacity=capacity)
-            self._metrics[name] = metric
-        elif not isinstance(metric, SpaceSavingSketch):
-            raise ConfigurationError(
-                f"metric {name!r} is a {metric.kind}, "
-                "not a heavy_hitters sketch"
             )
         return metric
 
@@ -323,34 +176,21 @@ class MetricsRegistry:
         Unlike :meth:`snapshot` (a human/report-facing aggregate view),
         the payload preserves everything :meth:`merge_payload` needs to
         reconstruct equivalent state in another registry: raw counter
-        values, gauge write counts, histogram sample buffers, and
-        timeseries rings.  The result is pickle-safe (plain dicts,
-        lists, floats) so a `ProcessPoolExecutor` worker can ship it
-        back to the parent.
+        values, gauge write counts, histogram buckets, and timeseries
+        rings.  The result is pickle-safe (plain dicts, lists, floats)
+        so a `ProcessPoolExecutor` worker can ship it back to the
+        parent.
         """
         out: Dict[str, Dict[str, object]] = {}
         for name, metric in self._metrics.items():
-            if isinstance(metric, TimeSeries):
-                entry: Dict[str, object] = {"kind": "timeseries",
-                                            **metric.to_payload()}
-            elif isinstance(metric, (QuantileSketch, SpaceSavingSketch)):
-                entry = {"kind": metric.kind, **metric.to_payload()}
-            elif isinstance(metric, Timer) or isinstance(metric, Histogram):
-                entry = {
-                    "kind": metric.kind,
-                    "count": metric.count,
-                    "total": metric.total,
-                    "min": metric.min,
-                    "max": metric.max,
-                    "samples": list(metric.samples),
-                }
-            elif isinstance(metric, Gauge):
-                entry = {"kind": "gauge", "value": metric.value,
-                         "writes": metric.writes}
+            if isinstance(metric, Gauge):
+                entry: Dict[str, object] = {"kind": "gauge",
+                                            "value": metric.value,
+                                            "writes": metric.writes}
             elif isinstance(metric, Counter):
                 entry = {"kind": "counter", "value": metric.value}
-            else:  # pragma: no cover - registry only stores known kinds
-                continue
+            else:
+                entry = {"kind": metric.kind, **metric.to_payload()}
             out[name] = entry
         return out
 
@@ -358,11 +198,12 @@ class MetricsRegistry:
         """Fold a worker registry payload into this registry.
 
         Counters add, gauges take the worker's last write (when it
-        wrote at all), histograms/timers merge aggregates and append
-        samples up to the buffer bound, timeseries append samples in
-        worker order.  Merging payloads in trial order therefore gives
-        the same registry state a serial run would have produced, up to
-        histogram-sample truncation at ``MAX_SAMPLES``.
+        wrote at all), histogram bucket counts add, timeseries append
+        samples in worker order.  Merging payloads in trial order
+        therefore gives the registry state a serial run would have
+        produced, with one exception: a histogram's ``total`` (and so
+        its mean) is summed per task and can differ from the serial sum
+        in the last bit.
         """
         for name, entry in payload.items():
             kind = entry.get("kind")
@@ -374,30 +215,11 @@ class MetricsRegistry:
                 if writes > 0:
                     gauge.value = entry["value"]
                 gauge.writes += writes
-            elif kind in ("histogram", "timer"):
-                hist = self.timer(name) if kind == "timer" else self.histogram(name)
-                count = int(entry["count"])
-                if count:
-                    hist.count += count
-                    hist.total += float(entry["total"])
-                    hist.min = min(hist.min, float(entry["min"]))
-                    hist.max = max(hist.max, float(entry["max"]))
-                    room = MAX_SAMPLES - len(hist.samples)
-                    if room > 0:
-                        hist.samples.extend(entry["samples"][:room])
             elif kind == "timeseries":
                 series = self.timeseries(name, capacity=entry.get("capacity"))
                 series.merge_payload(entry)
             elif kind == "quantile_sketch":
-                self.quantile_sketch(
-                    name,
-                    alpha=entry.get("alpha"),
-                    max_buckets=entry.get("max_buckets"),
-                ).merge_payload(entry)
-            elif kind == "heavy_hitters":
-                self.heavy_hitters(
-                    name, capacity=entry.get("capacity")
-                ).merge_payload(entry)
+                self.histogram(name).merge_payload(entry)
             else:
                 raise ConfigurationError(
                     f"unknown metric kind {kind!r} in payload entry {name!r}"
@@ -433,23 +255,6 @@ class NullMetric:
     def sample(self, value: float, t: Optional[float] = None) -> None:
         pass
 
-    def offer(self, key: object, weight: float = 1.0) -> None:
-        pass
 
-    def time(self) -> "_NullTimerContext":
-        return _NULL_TIMER_CONTEXT
-
-
-class _NullTimerContext:
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullTimerContext":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        return False
-
-
-#: Shared no-op instances (one allocation for the process lifetime).
+#: Shared no-op instance (one allocation for the process lifetime).
 NULL_METRIC = NullMetric()
-_NULL_TIMER_CONTEXT = _NullTimerContext()

@@ -16,7 +16,7 @@ point-in-time instrumentation into an *operated* system:
   behind ``python -m repro bench``, repo-root ``BENCH_*.json``
   artifacts, and the regression gate against
   ``benchmarks/baseline.json``;
-* :mod:`~repro.obs.perf.report` — perf-report and alert rendering.
+* :mod:`~repro.obs.perf.report` — profile and alert rendering.
 
 ``bench`` is imported lazily (it pulls in the simulation drivers).
 """

@@ -1,13 +1,13 @@
 """Rendering for performance telemetry: perf reports and alert tables.
 
-Used by ``python -m repro perf-report``, the ``--profile`` CLI flag,
+Used by ``python -m repro obs-report``, the ``--profile`` CLI flag,
 and the bench harness.  Follows the same ASCII-table style as
 :mod:`repro.obs.report`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
 from repro.analysis.report import format_table
 
@@ -84,22 +84,3 @@ def render_alerts(alerts: Sequence[Dict[str, Any]]) -> str:
         rows,
         title="SLO alerts",
     )
-
-
-def render_timeseries(metrics: Dict[str, Dict[str, Any]]) -> str:
-    """Compact view of the time-series entries in a registry snapshot
-    (other metric kinds are skipped)."""
-    lines: List[str] = []
-    for name in sorted(metrics):
-        summary = metrics[name]
-        if summary.get("type") != "timeseries":
-            continue
-        parts = [f"n={summary.get('count')}"]
-        for key in ("mean", "p50", "p95", "p99", "min", "max"):
-            value = summary.get(key)
-            if value is not None:
-                parts.append(f"{key}={value:.4g}")
-        lines.append(f"{name}  " + " ".join(parts))
-    if not lines:
-        return "(no time series recorded)"
-    return "time series\n" + "\n".join(lines)

@@ -280,7 +280,7 @@ def resolve_metric_value(
             return float(obj.count)
         value = obj.stats(window).get(stat)
         return float(value) if value is not None else None
-    if kind in ("histogram", "timer"):
+    if kind == "quantile_sketch":
         if obj.count == 0:
             return None
         if stat in (None, "mean"):

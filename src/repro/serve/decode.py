@@ -102,7 +102,7 @@ def decode_request_task(task: ServeDecodeTask) -> Dict[str, Any]:
         # whichever process ran the decode.  Integer-valued and folded
         # per task, so the parent's merged sketch is byte-identical to
         # an inline run's (see the fleet determinism contract tests).
-        obs.quantile_sketch("fleet.decode.errors").observe(
+        obs.histogram("fleet.decode.errors").observe(
             float(trial.errors)
         )
         return {
@@ -120,7 +120,7 @@ def decode_request_task(task: ServeDecodeTask) -> Dict[str, Any]:
             )
         if not active and not task.lenient:
             raise
-        obs.quantile_sketch("fleet.decode.errors").observe(
+        obs.histogram("fleet.decode.errors").observe(
             float(task.payload_bits)
         )
         return {

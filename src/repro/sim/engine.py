@@ -21,9 +21,10 @@ observability context, byte-for-byte the legacy serial behaviour.
 With ``workers>1`` it submits to a cached :class:`ProcessPoolExecutor`;
 each worker runs its task under a fresh obs session mirroring the
 parent's switches and ships back a lossless payload (counters,
-histogram samples, timeseries rings, quantile/heavy-hitter sketches,
-span trees, profiler stages), which the parent merges in *task order*
-so the merged registry matches what a serial run would have recorded.
+histogram sketch buckets, timeseries rings, span trees, profiler
+stages), which the parent merges in *task order* so the merged registry
+matches what a serial run would have recorded (up to the last bit of a
+histogram's running total, which is summed per task).
 
 The pool is process-global and cached across calls: pool creation costs
 ~100ms+ (fork + interpreter bookkeeping), which would swamp short
@@ -214,10 +215,11 @@ def run_trials(
     pool) executes in-process under the caller's obs context — span
     nesting and metric values are identical to a plain loop.  The
     parallel path captures each worker's obs into a payload and merges
-    payloads in task order, so aggregate observability is preserved
-    (histogram sample buffers are still bounded at their usual cap,
-    and cross-process span trees lose absolute timestamps but keep
-    durations and structure).
+    payloads in task order, so aggregate observability is preserved:
+    histogram bucket counts, and so every percentile, equal the serial
+    run's, but a histogram's ``total`` (and mean) is summed per task
+    and can differ in the last bit; cross-process span trees lose
+    absolute timestamps but keep durations and structure.
 
     ``fn`` and every task must be picklable (module-level function plus
     plain-data task objects).  Results come back in task order

@@ -28,6 +28,15 @@ ARQ_CHAOS = [
     "--faults", "outage:duty=0.45,burst=0.6", "--seed", "1",
 ]
 
+#: Fleet serve run whose outlier tag delivers with bit errors, so the
+#: decode-error histogram's tail is above zero.
+SERVE_FLEET = [
+    "serve", "--duration", "10", "--offered-load", "20",
+    "--deadline-ms", "2500", "--queue-capacity", "24", "--tags", "64",
+    "--payload", "8", "--rate", "200", "--pkts-per-bit", "6",
+    "--outlier-tag", "7", "--outlier-distance", "2.4", "--seed", "11",
+]
+
 
 class TestSloExitCode:
     def test_violation_during_faulted_run_exits_4(self, capsys):
@@ -63,6 +72,17 @@ class TestSloExitCode:
         out = json.loads(capsys.readouterr().out)
         assert out["alerts"]
         assert out["alerts"][0]["rule"]["metric"] == "uplink.delivery.rate"
+
+    def test_histogram_percentile_slo_fires(self, capsys):
+        code = main(SERVE_FLEET + [
+            "--json", "--slo", "fleet.decode.errors.p99 <= 0",
+        ])
+        assert code == EXIT_SLO_VIOLATION
+        out = json.loads(capsys.readouterr().out)
+        assert out["error_bits"] > 0
+        assert [a["rule"]["metric"] for a in out["alerts"]] == [
+            "fleet.decode.errors.p99"
+        ]
 
     def test_alerts_land_in_manifest_and_reports(self, tmp_path, capsys):
         manifest_path = str(tmp_path / "run.json")

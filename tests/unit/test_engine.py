@@ -12,6 +12,7 @@ import pytest
 
 from repro.faults import parse_fault_spec
 from repro.obs import state
+from repro.obs.fleet.sketch import DEFAULT_ALPHA
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.perf.profiler import Profiler
 from repro.obs.perf.timeseries import TimeSeries
@@ -172,20 +173,31 @@ class TestDriverDeterminism:
 class TestWorkerObsMerge:
     """Aggregate observability must survive the process boundary."""
 
-    def _counter_totals(self, workers):
+    def _merged_metrics(self, workers):
+        """Counter values, and histogram payloads minus ``total``."""
         with state.session(metrics=True, tracing=False, profiling=False):
             run_uplink_ber(0.45, 6, repeats=6, seed=11, workers=workers)
-            snap = state.get_registry().snapshot()
-        return {
-            name: summary["value"]
-            for name, summary in snap.items()
-            if summary.get("type") == "counter"
+            payload = state.get_registry().to_payload()
+        counters = {
+            name: entry["value"]
+            for name, entry in payload.items()
+            if entry["kind"] == "counter"
         }
+        # A histogram's running total is summed per task, so only it
+        # may differ from the serial sum (in the last bit).
+        histograms = {
+            name: {k: v for k, v in entry.items() if k != "total"}
+            for name, entry in payload.items()
+            if entry["kind"] == "quantile_sketch"
+        }
+        return counters, histograms
 
     def test_counters_match_serial(self):
-        serial = self._counter_totals(1)
-        parallel = self._counter_totals(WORKERS)
+        serial, serial_hist = self._merged_metrics(1)
+        parallel, parallel_hist = self._merged_metrics(WORKERS)
         assert serial and serial == parallel
+        assert "uplink.slicer.margin" in serial_hist
+        assert serial_hist == parallel_hist
 
     def test_span_trees_cross_the_boundary(self):
         with state.session(metrics=False, tracing=True, profiling=False):
@@ -208,7 +220,9 @@ class TestPayloadRoundTrips:
         assert dst.counter("c").value == 4
         assert dst.gauge("g").value == 2.5
         assert dst.histogram("h").count == 3
-        assert dst.histogram("h").percentile(100) == 3.0
+        assert dst.histogram("h").percentile(100) == pytest.approx(
+            3.0, rel=DEFAULT_ALPHA
+        )
         assert dst.timeseries("ts").stats()["count"] == 2
         assert dst.timeseries("ts").stats()["max"] == 5.0
 

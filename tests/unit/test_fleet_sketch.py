@@ -19,8 +19,6 @@ from repro.obs.fleet.sketch import (
     MIN_TRACKED_VALUE,
     QuantileSketch,
     SpaceSavingSketch,
-    heavy_hitters_from_payload,
-    sketch_from_payload,
 )
 
 
@@ -62,12 +60,63 @@ class TestQuantileSketch:
         sketch.observe(MIN_TRACKED_VALUE)
         assert sketch.zero_count == 1 and sketch.count == 1
 
-    def test_nan_and_negative_rejected(self):
+    def test_nan_rejected_and_negative_estimated(self):
         sketch = QuantileSketch("t")
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ConfigurationError):
+                sketch.observe(bad)
+        # A rejected value mid-batch leaves the earlier ones recorded.
         with pytest.raises(ConfigurationError):
-            sketch.observe(float("nan"))
-        with pytest.raises(ConfigurationError):
-            sketch.observe(-1e-9)
+            sketch.observe_many([-1e-9, float("nan"), 5.0])
+        assert sketch.count == 1 and sketch.zero_count == 0
+        assert sketch.quantile(0.5) == pytest.approx(-1e-9, rel=DEFAULT_ALPHA)
+
+    def test_signed_values_within_alpha(self):
+        rng = np.random.default_rng(9)
+        values = rng.normal(0.3, 1.0, size=4000).tolist()
+        sketch = QuantileSketch("t")
+        sketch.observe_many(values)
+        assert sketch.min == min(values) and sketch.max == max(values)
+        for q in (0.0, 0.05, 0.25, 0.5, 0.75, 0.95, 0.99, 1.0):
+            truth = _true_quantile(values, q)
+            est = sketch.quantile(q)
+            assert abs(est - truth) <= DEFAULT_ALPHA * abs(truth) + 1e-12
+            assert (est < 0) == (truth < 0)
+
+    def test_negative_store_in_payload_only_when_used(self):
+        sketch = QuantileSketch("t")
+        sketch.observe_many([0.0, 0.5, 2.0])
+        assert "negative" not in sketch.to_payload()
+        assert sketch.summary()["buckets"] == 2
+        sketch.observe_many([-0.5, -3.0])
+        payload = sketch.to_payload()
+        assert [n for _, n in payload["negative"]] == [1, 1]
+        assert sketch.summary()["buckets"] == 4
+        rebuilt = QuantileSketch("t")
+        rebuilt.merge_payload(payload)
+        assert rebuilt.to_payload() == payload
+
+    def test_scalar_and_batched_observation_agree(self):
+        values = np.random.default_rng(4).normal(0.0, 2.0, size=500)
+        one_by_one = QuantileSketch("t")
+        for v in values:
+            one_by_one.observe(v)
+        batched = QuantileSketch("t")
+        batched.observe_many(values)
+        assert one_by_one.to_payload() == batched.to_payload()
+
+    def test_negative_collapse_folds_nearest_zero(self):
+        rng = np.random.default_rng(8)
+        values = (-np.exp(rng.uniform(-7.0, 7.0, size=4000))).tolist()
+        sketch = QuantileSketch("t", alpha=0.05, max_buckets=8)
+        sketch.observe_many(values)
+        assert sketch.collapsed > 0
+        assert len(sketch._negative) <= 8 and not sketch._buckets
+        p1_truth = _true_quantile(values, 0.01)
+        assert abs(sketch.quantile(0.01) - p1_truth) <= 0.05 * abs(p1_truth)
+        # Folding away from zero only pushes estimates more negative.
+        for q in (0.5, 0.9):
+            assert sketch.quantile(q) <= _true_quantile(values, q)
 
     def test_bad_config_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -100,7 +149,8 @@ class TestQuantileSketch:
         rng = np.random.default_rng(11)
         sketch = QuantileSketch("t")
         sketch.observe_many(rng.exponential(2.0, size=500).tolist())
-        rebuilt = sketch_from_payload("t", sketch.to_payload())
+        rebuilt = QuantileSketch("t")
+        rebuilt.merge_payload(sketch.to_payload())
         assert rebuilt.to_payload() == sketch.to_payload()
         assert rebuilt.summary() == sketch.summary()
 
@@ -197,7 +247,8 @@ class TestSpaceSavingSketch:
         sketch = SpaceSavingSketch("t", capacity=3)
         for i in range(30):
             sketch.offer(i % 7)
-        rebuilt = heavy_hitters_from_payload("t", sketch.to_payload())
+        rebuilt = SpaceSavingSketch("t", capacity=3)
+        rebuilt.merge_payload(sketch.to_payload())
         assert rebuilt.to_payload() == sketch.to_payload()
 
     def test_under_capacity_merge_is_exact_union(self):

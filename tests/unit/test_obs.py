@@ -1,19 +1,35 @@
 """Unit tests for the obs metrics registry and trace spans."""
 
+import math
 import time
 
+import numpy as np
 import pytest
 
 from repro import obs
 from repro.errors import ConfigurationError
+from repro.obs.fleet.sketch import DEFAULT_ALPHA, QuantileSketch
 from repro.obs.metrics import (
-    MAX_SAMPLES,
     Counter,
-    Histogram,
     MetricsRegistry,
     NULL_METRIC,
 )
 from repro.obs.tracing import Tracer
+from repro.sim.link import run_uplink_ber
+
+
+def _histogram():
+    return MetricsRegistry().histogram("h")
+
+
+def _within_alpha(estimate, truth):
+    return abs(estimate - truth) <= DEFAULT_ALPHA * abs(truth)
+
+
+def _order_statistic(values, q):
+    """The rank ``ceil(q * n) - 1`` statistic the sketch estimates."""
+    ordered = sorted(values)
+    return ordered[max(0, math.ceil(q * len(ordered)) - 1)]
 
 
 @pytest.fixture(autouse=True)
@@ -54,7 +70,7 @@ class TestGauge:
 
 class TestHistogram:
     def test_aggregates(self):
-        h = Histogram("h")
+        h = _histogram()
         h.observe_many([1.0, 2.0, 3.0, 4.0])
         assert h.count == 4
         assert h.total == 10.0
@@ -63,45 +79,61 @@ class TestHistogram:
         assert h.mean == 2.5
 
     def test_percentiles(self):
-        h = Histogram("h")
+        h = _histogram()
         h.observe_many(range(101))
         assert h.percentile(0) == 0
-        assert h.percentile(50) == 50
-        assert h.percentile(100) == 100
+        assert _within_alpha(h.percentile(50), 50)
+        assert _within_alpha(h.percentile(100), 100)
         with pytest.raises(ConfigurationError):
             h.percentile(101)
 
     def test_empty_summary(self):
-        assert Histogram("h").summary() == {"type": "histogram", "count": 0}
-        assert Histogram("h").mean is None
-        assert Histogram("h").percentile(50) is None
-
-    def test_sample_buffer_is_bounded_but_aggregates_continue(self):
-        h = Histogram("h")
-        h.observe_many([1.0] * (MAX_SAMPLES + 100))
-        h.observe(99.0)
-        assert len(h.samples) == MAX_SAMPLES
-        assert h.count == MAX_SAMPLES + 101
-        assert h.max == 99.0
+        assert _histogram().summary() == {
+            "type": "quantile_sketch", "count": 0,
+            "alpha": DEFAULT_ALPHA, "buckets": 0,
+        }
+        assert _histogram().mean is None
+        assert _histogram().percentile(50) is None
 
     def test_summary_has_p50_p95(self):
-        h = Histogram("h")
+        h = _histogram()
         h.observe_many(range(100))
         s = h.summary()
-        # Linear-interpolated percentiles (see percentile_of): the median
-        # of 0..99 sits between 49 and 50.
-        assert s["p50"] == 49.5
-        assert s["p95"] == 94.05
+        for key, q in (("p50", 0.5), ("p95", 0.95), ("p99", 0.99)):
+            assert _within_alpha(s[key], _order_statistic(range(100), q))
 
 
-class TestTimer:
-    def test_time_context_records_seconds(self):
-        r = MetricsRegistry()
-        t = r.timer("t")
-        with t.time():
-            pass
-        assert t.count == 1
-        assert t.samples[0] >= 0.0
+class TestWholeRunPercentiles:
+    """Percentiles describe every observation, not the first few
+    thousand."""
+
+    def test_late_run_shift_moves_p95(self):
+        h = _histogram()
+        h.observe_many([1.0] * 2048)
+        h.observe_many([10.0] * 8000)
+        assert h.count == 10048
+        assert _within_alpha(h.percentile(95), 10.0)
+
+    def test_slicer_margins_match_exact_order_statistics(self, monkeypatch):
+        margins = []
+        observe_many = QuantileSketch.observe_many
+
+        def recording(self, values):
+            if self.name == "uplink.slicer.margin":
+                margins.extend(np.asarray(values, dtype=float).tolist())
+            observe_many(self, values)
+
+        monkeypatch.setattr(QuantileSketch, "observe_many", recording)
+        with obs.session(tracing=False) as (registry, _):
+            run_uplink_ber(0.3, 30.0, mode="csi", repeats=8,
+                           num_payload_bits=90, seed=3)
+            sketch = registry.histogram("uplink.slicer.margin")
+        assert sketch.count == len(margins) == 48720
+        for q in (0.05, 0.5, 0.95, 0.99):
+            truth = _order_statistic(margins, q)
+            assert _within_alpha(sketch.quantile(q), truth), q
+        # Inside the dead band the margin is negative.
+        assert sketch.quantile(0.05) < 0
 
 
 class TestRegistry:
@@ -114,15 +146,6 @@ class TestRegistry:
         r.counter("a")
         with pytest.raises(ConfigurationError):
             r.gauge("a")
-
-    def test_timer_is_not_a_histogram(self):
-        r = MetricsRegistry()
-        r.timer("t")
-        with pytest.raises(ConfigurationError):
-            r.histogram("t")
-        r.histogram("h")
-        with pytest.raises(ConfigurationError):
-            r.timer("h")
 
     def test_empty_name_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -167,15 +190,12 @@ class TestModuleHelpers:
         assert obs.counter("anything") is NULL_METRIC
         assert obs.gauge("anything") is NULL_METRIC
         assert obs.histogram("anything") is NULL_METRIC
-        assert obs.timer("anything") is NULL_METRIC
 
     def test_null_metric_accepts_all_writes(self):
         NULL_METRIC.inc()
         NULL_METRIC.set(3)
         NULL_METRIC.observe(1.0)
         NULL_METRIC.observe_many([1, 2])
-        with NULL_METRIC.time():
-            pass
 
     def test_enabled_returns_live_metrics(self):
         with obs.session() as (registry, _):

@@ -4,6 +4,7 @@ import pytest
 
 from repro import obs
 from repro.errors import ConfigurationError
+from repro.obs.fleet.sketch import DEFAULT_ALPHA, QuantileSketch
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.perf.slo import (
     AlertEvent,
@@ -101,7 +102,30 @@ class TestResolution:
         assert resolve_metric_value(r, "h") == 2.0
         assert resolve_metric_value(r, "h.max") == 3.0
         assert resolve_metric_value(r, "h.sum") == 6.0
-        assert resolve_metric_value(r, "h.p50") == 2.0
+        assert resolve_metric_value(r, "h.p50") == pytest.approx(
+            2.0, rel=DEFAULT_ALPHA
+        )
+
+    def test_worker_sketch_stats(self):
+        # A histogram shipped home from a worker arrives as a sketch
+        # payload; every stat must resolve on the merged metric.
+        worker = QuantileSketch("e")
+        worker.observe_many([0.0, 0.0, 1.0, 4.0])
+        r = MetricsRegistry()
+        r.merge_payload({"e": {"kind": "quantile_sketch",
+                               **worker.to_payload()}})
+        assert resolve_metric_value(r, "e") == 1.25
+        assert resolve_metric_value(r, "e.count") == 4.0
+        assert resolve_metric_value(r, "e.sum") == 5.0
+        assert resolve_metric_value(r, "e.min") == 0.0
+        assert resolve_metric_value(r, "e.max") == 4.0
+        assert resolve_metric_value(r, "e.p50") == 0.0
+        for stat in ("p95", "p99"):
+            assert resolve_metric_value(r, f"e.{stat}") == pytest.approx(
+                4.0, rel=DEFAULT_ALPHA
+            )
+        fired = SloEngine.from_spec("e.p99 <= 0").evaluate(registry=r)
+        assert [a.rule.metric for a in fired] == ["e.p99"]
 
     def test_missing_metric_is_none(self):
         r = MetricsRegistry()

@@ -6,7 +6,8 @@ import pytest
 
 from repro import obs
 from repro.errors import ConfigurationError
-from repro.obs.metrics import Histogram, MetricsRegistry, NULL_METRIC
+from repro.obs.fleet.sketch import DEFAULT_ALPHA
+from repro.obs.metrics import MetricsRegistry, NULL_METRIC
 from repro.obs.perf.timeseries import TimeSeries, percentile_of
 
 
@@ -182,30 +183,31 @@ class TestPercentileHelper:
 
 
 class TestHistogramPercentileEdges:
-    """Percentile edge cases on the registry's Histogram (satellite)."""
+    """Percentile edge cases on the registry's histogram (a DDSketch:
+    estimates are within ``alpha`` of the sample)."""
 
     def test_empty_histogram(self):
-        h = Histogram("h")
+        h = MetricsRegistry().histogram("h")
         assert h.percentile(50) is None
-        assert h.summary() == {"type": "histogram", "count": 0}
+        assert h.summary() == {"type": "quantile_sketch", "count": 0,
+                               "alpha": DEFAULT_ALPHA, "buckets": 0}
         assert h.mean is None
 
     def test_single_sample(self):
-        h = Histogram("h")
+        h = MetricsRegistry().histogram("h")
         h.observe(2.5)
-        assert h.percentile(0) == 2.5
-        assert h.percentile(50) == 2.5
-        assert h.percentile(100) == 2.5
+        for p in (0, 50, 100):
+            assert h.percentile(p) == pytest.approx(2.5, rel=DEFAULT_ALPHA)
 
     def test_all_equal(self):
-        h = Histogram("h")
+        h = MetricsRegistry().histogram("h")
         h.observe_many([4.0] * 32)
-        assert h.percentile(50) == 4.0
-        assert h.percentile(99) == 4.0
-        assert h.summary()["p95"] == 4.0
+        assert h.percentile(50) == pytest.approx(4.0, rel=DEFAULT_ALPHA)
+        assert h.percentile(99) == h.percentile(50)
+        assert h.summary()["p95"] == h.percentile(50)
 
     def test_percentile_domain_validation(self):
-        h = Histogram("h")
+        h = MetricsRegistry().histogram("h")
         with pytest.raises(ConfigurationError):
             h.percentile(101)
 

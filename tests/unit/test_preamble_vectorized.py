@@ -2,11 +2,12 @@
 
 The vectorized preamble search (prefix sums + ``searchsorted`` at chip
 boundaries) and the vectorized per-chip means must match the legacy
-per-offset / per-chip Python loops, which stay in the codebase purely
+per-offset / per-chip Python loops, which live in this module purely
 as equivalence oracles (``_reference_*``).
 """
 
 import time
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -14,14 +15,86 @@ from repro.core.barker import barker_bits, bits_to_chips
 from repro.core.coding import make_code_pair
 from repro.core.correlation_decoder import CorrelationDecoder
 from repro.core.subchannel import (
-    _reference_detect_preamble,
+    PreambleDetection,
     correlate_at,
     correlation_matrix,
     detect_preamble,
 )
+from repro.errors import ConfigurationError, PreambleNotFound
 
 BIT_S = 0.01
 PREAMBLE = barker_bits()
+
+
+def _reference_detect_preamble(
+    normalized: np.ndarray,
+    timestamps_s: np.ndarray,
+    preamble_bits: Sequence[int],
+    bit_duration_s: float,
+    search_step_s: Optional[float] = None,
+    min_score: float = 0.0,
+) -> PreambleDetection:
+    """Pre-vectorization per-offset search, kept as the equivalence
+    oracle for :func:`detect_preamble` (tests only — O(candidates)
+    Python-loop iterations of :func:`correlate_at`)."""
+    timestamps = np.asarray(timestamps_s, dtype=float)
+    if len(timestamps) == 0:
+        raise PreambleNotFound("empty measurement stream")
+    if bit_duration_s <= 0:
+        raise ConfigurationError("bit_duration_s must be positive")
+    preamble_span = len(preamble_bits) * bit_duration_s
+    t_first, t_last = timestamps[0], timestamps[-1]
+    if t_last - t_first < preamble_span:
+        raise PreambleNotFound(
+            f"stream spans {t_last - t_first:.3f} s, shorter than the "
+            f"{preamble_span:.3f} s preamble"
+        )
+    step = search_step_s if search_step_s is not None else bit_duration_s / 4.0
+    if step <= 0:
+        raise ConfigurationError("search_step_s must be positive")
+    candidates = np.arange(t_first, t_last - preamble_span + step, step)
+    best_score = -np.inf
+    best_start = candidates[0]
+    best_corr: Optional[np.ndarray] = None
+    for t0 in candidates:
+        corr = correlate_at(
+            normalized, timestamps, t0, preamble_bits, bit_duration_s
+        )
+        score = float(np.abs(corr).sum())
+        if score > best_score:
+            best_score = score
+            best_start = float(t0)
+            best_corr = corr
+    assert best_corr is not None
+    if best_score < min_score:
+        raise PreambleNotFound(
+            f"best correlation score {best_score:.3f} below threshold "
+            f"{min_score:.3f}"
+        )
+    return PreambleDetection(
+        start_time_s=best_start,
+        correlations=best_corr,
+        score=best_score,
+        threshold=min_score,
+    )
+
+
+def _reference_chip_means(
+    normalized: np.ndarray,
+    timestamps_s: np.ndarray,
+    start_time_s: float,
+    chip_duration_s: float,
+    num_chips: int,
+) -> np.ndarray:
+    """Pre-vectorization per-chip loop, kept as the equivalence
+    oracle for :meth:`_chip_means` (tests only)."""
+    idx = np.floor((timestamps_s - start_time_s) / chip_duration_s).astype(int)
+    out = np.zeros((num_chips, normalized.shape[1]))
+    for k in range(num_chips):
+        sel = idx == k
+        if np.any(sel):
+            out[k] = normalized[sel].mean(axis=0)
+    return out
 
 
 def _noise_stream(num_packets, channels, seed, span_s=1.0):
@@ -110,7 +183,7 @@ class TestChipMeansEquivalence:
         timestamps = np.sort(rng.uniform(0.0, 0.5, 400))
         normalized = rng.normal(size=(400, 5))
         fast = decoder._chip_means(normalized, timestamps, 0.05, 0.002, 64)
-        slow = decoder._reference_chip_means(
+        slow = _reference_chip_means(
             normalized, timestamps, 0.05, 0.002, 64
         )
         np.testing.assert_allclose(fast, slow, rtol=0, atol=1e-12)
