@@ -8,7 +8,7 @@ Examples::
     python -m repro rate-plan --helper-pps 3070
     python -m repro power-budget
     python -m repro calibration
-    python -m repro obs-report /tmp/run.json
+    python -m repro obs-report /tmp/run.json # render any artifact
     python -m repro scenarios                # enumerate the corpus
     python -m repro soak --corpus builtin    # soak it, append history
     python -m repro history --check          # gate on cross-run trends
@@ -37,6 +37,10 @@ and the benchmark harness::
 
     python -m repro bench --quick            # run the workload matrix
     python -m repro bench --quick --check    # gate against the baseline
+
+``obs-report`` renders any artifact by its schema (run manifest,
+telemetry stream, fleet health, forensics records, soak document);
+``perf-report``, ``fleet-report`` and ``forensics`` are its aliases.
 
 Exit codes: 0 success, 2 decode/link failure, 3 configuration error
 (bad arguments, malformed --faults/--slo spec, invalid scenario), 4 SLO
@@ -363,64 +367,30 @@ def _cmd_calibration(args: argparse.Namespace) -> CommandOutput:
     )
 
 
-def _cmd_forensics(args: argparse.Namespace):
-    """Attribute + render a forensics JSONL artifact from --record."""
-    from repro.obs.forensics import read_jsonl, summarize
-    from repro.obs.forensics.report import render_forensics
-
-    try:
-        header, records = read_jsonl(args.records)
-    except FileNotFoundError:
-        raise SystemExit(f"no such forensics artifact: {args.records}")
-    summary = summarize(records)
-    data = {
-        "header": header,
-        "summary": {k: v for k, v in summary.items() if k != "margins"},
-    }
-    return CommandOutput(title="", rows=[], data=data), render_forensics(
-        summary, header=header
-    )
-
-
 def _write_forensics_artifact(args: argparse.Namespace) -> Optional[str]:
     """Flush the flight recorder to the --record JSONL path.
 
     This is the *clean* flush; it stands down the crash-flush handler
     so an orderly exit doesn't rewrite the artifact as "interrupted".
     """
-    from repro.obs.forensics import disarm_crash_flush, write_jsonl
+    from repro.obs.forensics import disarm_crash_flush, write_recorder
 
     path = getattr(args, "record", None)
     if path is None:
         return None
     disarm_crash_flush()
-    recorder = obs.get_recorder()
-    payload = recorder.to_payload()
-    write_jsonl(
-        path,
-        payload["records"],
-        meta={
-            "name": args.command,
-            "seed": getattr(args, "seed", None),
-            "policy": recorder.policy,
-            "capacity": recorder.capacity,
-            "recorder": {
-                "seen": payload["seen"],
-                "errors_seen": payload["errors_seen"],
-                "dropped": payload["dropped"],
-            },
-        },
-    )
-    return path
+    return write_recorder(path, obs.get_recorder(), {
+        "name": args.command,
+        "seed": getattr(args, "seed", None),
+    })
 
 
-def _cmd_obs_report(args: argparse.Namespace) -> CommandOutput:
-    """Render a previously written run manifest (or pick the latest)."""
-    import os
+def _cmd_report(args: argparse.Namespace):
+    """Render any artifact (see :func:`repro.obs.report.render_artifact`);
+    ``--dir`` picks the newest ``.json`` in a directory."""
+    from repro.obs.report import render_artifact
 
-    from repro.obs.report import render_manifest
-
-    path = args.manifest
+    path = args.path
     if path is None and args.dir is not None:
         candidates = sorted(
             (os.path.join(args.dir, n) for n in os.listdir(args.dir)
@@ -428,110 +398,18 @@ def _cmd_obs_report(args: argparse.Namespace) -> CommandOutput:
             key=os.path.getmtime,
         )
         if not candidates:
-            raise SystemExit(f"no .json manifests under {args.dir}")
+            raise SystemExit(f"no .json artifacts under {args.dir}")
         path = candidates[-1]
     if path is None:
-        raise SystemExit("obs-report needs a manifest path or --dir")
-    # Telemetry streams are JSONL, not a single JSON document — sniff
-    # the first line for the schema tag before the manifest parse.
+        raise SystemExit(f"{args.command} needs an artifact path or --dir")
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            first_line = fh.readline()
-    except FileNotFoundError:
-        raise SystemExit(f"no such manifest: {path}")
-    from repro.obs.export import loads_line
-
-    try:
-        first = loads_line(first_line)
-    except Exception:
-        first = None
-    from repro.serve.telemetry import is_telemetry_header, read_telemetry
-
-    if is_telemetry_header(first):
-        from repro.obs.report import render_telemetry
-
-        header, snapshots, final = read_telemetry(path)
-        data = {
-            "header": header,
-            "snapshots": snapshots,
-            "final": final,
-        }
-        return CommandOutput(title="", rows=[], data=data), \
-            render_telemetry(header, snapshots, final)
-    try:
-        raw = obs.read_json(path)
-    except FileNotFoundError:
-        raise SystemExit(f"no such manifest: {path}")
-    from repro.obs.soak.report import (
-        is_soak_document,
-        render_soak_markdown,
-        render_soak_text,
-    )
-
-    if is_soak_document(raw):
-        rendered = (
-            render_soak_markdown(raw) if getattr(args, "markdown", False)
-            else render_soak_text(raw)
+        data, text = render_artifact(
+            path, top=args.top, markdown=args.markdown
         )
-        return CommandOutput(title="", rows=[], data=raw), rendered
-    try:
-        manifest = obs.load_manifest(path)
     except FileNotFoundError:
-        raise SystemExit(f"no such manifest: {path}")
-    data = manifest.to_dict()
+        raise SystemExit(f"no such artifact: {path}")
     # The report is pre-rendered text, not a quantity/value table.
-    return CommandOutput(
-        title="", rows=[], data=data,
-    ), render_manifest(data)
-
-
-def _cmd_fleet_report(args: argparse.Namespace):
-    """Render fleet telemetry: a ``--health-out`` artifact or the fleet
-    blocks of a telemetry JSONL stream."""
-    from repro.obs.export import loads_line
-    from repro.obs.fleet import (
-        is_fleet_artifact,
-        render_fleet_artifact,
-        render_fleet_block,
-    )
-
-    path = args.path
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            first_line = fh.readline()
-    except FileNotFoundError:
-        raise SystemExit(f"no such file: {path}")
-    try:
-        first = loads_line(first_line)
-    except Exception:
-        first = None
-    from repro.serve.telemetry import is_telemetry_header, read_telemetry
-
-    if is_telemetry_header(first):
-        _, snapshots, _ = read_telemetry(path)
-        fleet = (snapshots[-1].get("fleet") or {}) if snapshots else {}
-        if not fleet:
-            raise SystemExit(
-                f"{path} is a telemetry stream without fleet blocks "
-                "(written by an older serve?)"
-            )
-        # Cumulative state lives in the last snapshot; the transition
-        # history is spread one tick per block.
-        fleet = dict(fleet)
-        fleet["transitions"] = [
-            tr for snap in snapshots
-            for tr in (snap.get("fleet") or {}).get("transitions") or []
-        ]
-        return CommandOutput(title="", rows=[], data=fleet), \
-            render_fleet_block(fleet, top=args.top)
-    data = obs.read_json(path)
-    if not is_fleet_artifact(data):
-        raise SystemExit(
-            f"{path} is neither a repro.fleet/1 artifact nor a "
-            "telemetry stream"
-        )
-    return CommandOutput(title="", rows=[], data=data), \
-        render_fleet_artifact(data, top=args.top)
+    return CommandOutput(title="", rows=[], data=data), text
 
 
 def _cmd_scenarios(args: argparse.Namespace):
@@ -999,35 +877,22 @@ def build_parser() -> argparse.ArgumentParser:
                        help="show calibrated parameters")
     p.set_defaults(func=_cmd_calibration)
 
-    p = sub.add_parser("forensics", parents=[common],
-                       help="failure-attribution report from a "
-                            "--record JSONL artifact")
-    p.add_argument("records", help="forensics JSONL path (from --record)")
-    p.set_defaults(func=_cmd_forensics)
-
     p = sub.add_parser("obs-report", parents=[common],
-                       aliases=["perf-report"],
-                       help="render a run manifest written by --metrics-out "
-                            "(soak documents and serve telemetry streams "
-                            "are auto-detected)")
-    p.add_argument("manifest", nargs="?", default=None,
-                   help="manifest, soak-document, or telemetry JSONL path")
+                       aliases=["perf-report", "fleet-report", "forensics"],
+                       help="render an artifact: a run manifest, telemetry "
+                            "stream, fleet health artifact, forensics "
+                            "records or soak document (recognised by its "
+                            "schema)")
+    p.add_argument("path", nargs="?", default=None,
+                   help="artifact path (JSON or JSONL)")
     p.add_argument("--dir", default=None,
-                   help="pick the newest manifest in this directory")
+                   help="pick the newest .json artifact in this directory")
     p.add_argument("--markdown", action="store_true",
                    help="render soak documents as markdown instead of a "
                         "terminal table")
-    p.set_defaults(func=_cmd_obs_report)
-
-    p = sub.add_parser("fleet-report", parents=[common],
-                       help="render fleet telemetry: a serve --health-out "
-                            "artifact or the fleet blocks of a telemetry "
-                            "stream")
-    p.add_argument("path",
-                   help="repro.fleet/1 artifact JSON or telemetry JSONL")
     p.add_argument("--top", type=int, default=None,
                    help="rows per offender board (default: all tracked)")
-    p.set_defaults(func=_cmd_fleet_report)
+    p.set_defaults(func=_cmd_report)
 
     p = sub.add_parser("scenarios", parents=[common],
                        help="enumerate the scenario corpus without running")
@@ -1168,7 +1033,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_CONFIG_ERROR
     record_out = getattr(args, "record", None)
-    recording = record_out is not None and args.command != "forensics"
+    recording = record_out is not None and args.func is not _cmd_report
     observing = (
         trace or metrics_out is not None or obs_dir is not None
         or profiling or slo_engine is not None or recording

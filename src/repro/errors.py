@@ -102,21 +102,5 @@ class ScenarioError(ConfigurationError):
         self.field = field
 
 
-class WorkerLostError(ReproError):
-    """A supervised trial exhausted its retry budget on worker loss.
-
-    Raised (or recorded as a dead letter) when a pool worker crashed or
-    hung repeatedly while executing the same task.  Distinguishes
-    infrastructure loss from decode failures: the link may be fine, the
-    process executing it was not.
-    """
-
-    def __init__(self, message: str, attempts: int = 0,
-                 reason: str = "worker_crash") -> None:
-        super().__init__(message)
-        self.attempts = attempts
-        self.reason = reason
-
-
 class TraceFormatError(ReproError):
     """A trace file could not be parsed."""

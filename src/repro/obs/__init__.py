@@ -37,7 +37,6 @@ from __future__ import annotations
 
 from repro.obs import state
 from repro.obs.export import (
-    decode_nonfinite,
     dumps,
     dumps_line,
     escape_measurement,
@@ -154,7 +153,6 @@ __all__ = [
     "configure",
     "counter",
     "current_span",
-    "decode_nonfinite",
     "disable",
     "dumps",
     "dumps_line",

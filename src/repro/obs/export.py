@@ -14,8 +14,9 @@ them back to floats, making the round trip lossless.
 This module is the *single* home of that codec: the forensics JSONL
 format, the serve telemetry-snapshot stream, and manifest export all
 go through :func:`dumps_line` / :func:`loads_line` rather than growing
-private copies.  It also owns the InfluxDB line-protocol escaping
-rules (:func:`escape_measurement` / :func:`escape_tag` /
+private copies, and both schema-tagged JSONL artifacts are read back
+by :func:`read_tagged_jsonl`.  It also owns the InfluxDB line-protocol
+escaping rules (:func:`escape_measurement` / :func:`escape_tag` /
 :func:`parse_line_protocol`) shared by the metrics registry and the
 telemetry exporters, plus Prometheus text exposition for the latest
 serve-telemetry snapshot.
@@ -26,9 +27,11 @@ from __future__ import annotations
 import json
 import math
 import os
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+
+from repro.errors import ConfigurationError
 
 #: String spellings of the non-finite floats (write side).
 _NONFINITE_STRINGS = {"NaN", "Infinity", "-Infinity"}
@@ -77,11 +80,6 @@ def _decode_nonfinite(value: Any) -> Any:
     return value
 
 
-#: Public name for the decoder so JSONL readers outside this module
-#: (forensics, telemetry) share one implementation instead of copying.
-decode_nonfinite = _decode_nonfinite
-
-
 def dumps_line(obj: Any) -> str:
     """One compact JSON line (no newline) after :func:`jsonable` coercion.
 
@@ -118,6 +116,29 @@ def read_json(path: str) -> Any:
     ``"NaN"``/``"Infinity"``/``"-Infinity"`` strings to floats."""
     with open(path, "r", encoding="utf-8") as fh:
         return _decode_nonfinite(json.load(fh))
+
+
+def read_tagged_jsonl(
+    path: str, schema: str
+) -> Tuple[Dict[str, Any], List[Any]]:
+    """Read a schema-tagged JSONL artifact; returns ``(header, objects)``.
+
+    Line 1 is the header and must carry ``schema``; every following
+    non-blank line is one object.  Raises
+    :class:`~repro.errors.ConfigurationError` on an empty file or a
+    missing/mismatched tag so stale or foreign files fail loudly.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        first = fh.readline()
+        if not first.strip():
+            raise ConfigurationError(f"{path}: empty {schema} artifact")
+        header = loads_line(first)
+        found = header.get("schema") if isinstance(header, dict) else None
+        if found != schema:
+            raise ConfigurationError(
+                f"{path}: not a {schema} artifact (header schema {found!r})"
+            )
+        return header, [loads_line(line) for line in fh if line.strip()]
 
 
 # ---------------------------------------------------------------------------

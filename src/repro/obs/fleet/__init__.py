@@ -27,7 +27,6 @@ from repro.obs.fleet.aggregate import (
     FLEET_SCHEMA,
     OFFENDER_KINDS,
     FleetAggregator,
-    is_fleet_artifact,
 )
 from repro.obs.fleet.health import (
     HEALTH_BINS,
@@ -59,7 +58,6 @@ __all__ = [
     "SpaceSavingSketch",
     "TagHealth",
     "TagHealthRegistry",
-    "is_fleet_artifact",
     "render_fleet_artifact",
     "render_fleet_block",
     "render_offenders",

@@ -155,8 +155,3 @@ class FleetAggregator:
             "transitions": list(self.health.transitions),
             "payload": self.to_payload(),
         }
-
-
-def is_fleet_artifact(data: Any) -> bool:
-    """True when ``data`` looks like a ``--health-out`` artifact."""
-    return isinstance(data, dict) and data.get("schema") == FLEET_SCHEMA

@@ -45,7 +45,7 @@ from repro.obs.forensics.crash_flush import (
     register_aux_flush,
     unregister_aux_flush,
 )
-from repro.obs.forensics.format import read_jsonl, write_jsonl
+from repro.obs.forensics.format import read_jsonl, write_jsonl, write_recorder
 from repro.obs.forensics.recorder import (
     DEFAULT_CAPACITY,
     POLICIES,
@@ -75,4 +75,5 @@ __all__ = [
     "summarize",
     "unregister_aux_flush",
     "write_jsonl",
+    "write_recorder",
 ]

@@ -75,21 +75,10 @@ def _flush(interrupted: bool) -> Optional[str]:
         meta = dict(_armed["meta"])
     try:
         from repro import obs
-        from repro.obs.forensics.format import write_jsonl
+        from repro.obs.forensics.format import write_recorder
 
-        recorder = obs.get_recorder()
-        payload = recorder.to_payload()
-        meta.update({
-            "interrupted": interrupted,
-            "policy": recorder.policy,
-            "capacity": recorder.capacity,
-            "recorder": {
-                "seen": payload["seen"],
-                "errors_seen": payload["errors_seen"],
-                "dropped": payload["dropped"],
-            },
-        })
-        return write_jsonl(path, payload["records"], meta=meta)
+        meta["interrupted"] = interrupted
+        return write_recorder(path, obs.get_recorder(), meta)
     except Exception:  # noqa: BLE001 - teardown must not raise
         return None
 

@@ -12,12 +12,10 @@ trip.
 
 from __future__ import annotations
 
-import json
 import os
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import ConfigurationError
-from repro.obs.export import decode_nonfinite, dumps_line, jsonable
+from repro.obs.export import dumps_line, jsonable, read_tagged_jsonl
 
 #: Schema tag stamped into (and required from) the header line.
 SCHEMA = "repro.forensics/1"
@@ -47,6 +45,26 @@ def write_jsonl(
     return path
 
 
+def write_recorder(path: str, recorder: Any, meta: Dict[str, Any]) -> str:
+    """Write a :class:`~repro.obs.forensics.recorder.FlightRecorder`'s
+    records as a forensics artifact; returns ``path``.
+
+    The header carries ``meta`` (run name, seed, ...) followed by the
+    recorder's policy, capacity and counters.
+    """
+    payload = recorder.to_payload()
+    return write_jsonl(path, payload["records"], meta={
+        **meta,
+        "policy": recorder.policy,
+        "capacity": recorder.capacity,
+        "recorder": {
+            "seen": payload["seen"],
+            "errors_seen": payload["errors_seen"],
+            "dropped": payload["dropped"],
+        },
+    })
+
+
 def read_jsonl(path: str) -> Tuple[Dict[str, Any], List[Dict[str, Any]]]:
     """Read a forensics artifact; returns ``(header, records)``.
 
@@ -54,18 +72,4 @@ def read_jsonl(path: str) -> Tuple[Dict[str, Any], List[Dict[str, Any]]]:
     mismatched schema tag so stale/foreign files fail loudly rather
     than attributing garbage.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline()
-        if not first.strip():
-            raise ConfigurationError(f"{path}: empty forensics artifact")
-        header = json.loads(first)
-        if not isinstance(header, dict) or header.get("schema") != SCHEMA:
-            raise ConfigurationError(
-                f"{path}: not a {SCHEMA} artifact "
-                f"(header schema {header.get('schema') if isinstance(header, dict) else None!r})"
-            )
-        records: List[Dict[str, Any]] = []
-        for line in fh:
-            if line.strip():
-                records.append(decode_nonfinite(json.loads(line)))
-    return decode_nonfinite(header), records
+    return read_tagged_jsonl(path, SCHEMA)

@@ -510,23 +510,6 @@ def write_bench_artifacts(
     ]
 
 
-def write_perf_report(
-    results: List[WorkloadResult], path: str
-) -> str:
-    """Write the combined per-workload perf report (plain text)."""
-    from repro.obs.perf.report import render_profile
-
-    sections = []
-    for r in results:
-        sections.append(f"== {r.name} ==\n{render_profile(r.profile)}")
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n\n".join(sections))
-        fh.write("\n")
-    return path
-
-
 # -- regression gate ---------------------------------------------------------------
 
 

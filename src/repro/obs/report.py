@@ -3,11 +3,14 @@
 Used by ``python -m repro obs-report`` and the ``--trace`` CLI flag:
 turns a run manifest (or the live tracer/registry) into the same
 ASCII-table style the experiment commands print.
+:func:`render_artifact` is the one entry point for artifact files: it
+recognises each kind by its schema tag and hands it to that kind's
+renderer.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.report import format_table
 
@@ -85,12 +88,13 @@ def render_telemetry(
     header: Dict[str, Any],
     snapshots: Sequence[Dict[str, Any]],
     final: Optional[Dict[str, Any]] = None,
+    top: Optional[int] = None,
 ) -> str:
     """Compact serve-health report for a telemetry snapshot stream.
 
     Consumes the ``(header, snapshots, final)`` triple produced by
-    :func:`repro.serve.telemetry.read_telemetry` as plain dicts — this
-    module stays independent of the serve package.
+    :func:`repro.serve.telemetry.read_telemetry` as plain dicts.
+    ``top`` caps the rows per offender board in the fleet section.
     """
     sections: List[str] = []
     status = (final or {}).get("event") or "truncated"
@@ -164,7 +168,7 @@ def render_telemetry(
             tr for snap in snapshots
             for tr in (snap.get("fleet") or {}).get("transitions") or []
         ]
-        sections.append(render_fleet_block(fleet))
+        sections.append(render_fleet_block(fleet, top=top))
     summary = (final or {}).get("summary") or {}
     if summary:
         sections.append(
@@ -233,3 +237,66 @@ def render_manifest(manifest: Dict[str, Any]) -> str:
     if spans:
         sections.append("trace\n" + render_span_tree(spans))
     return "\n\n".join(sections)
+
+
+def render_artifact(
+    path: str, top: Optional[int] = None, markdown: bool = False
+) -> Tuple[Dict[str, Any], str]:
+    """Recognise the artifact at ``path`` by its schema and render it.
+
+    Returns ``(data, text)``: the ``--json`` payload and the report.
+    Line 1 tags the JSONL kinds (telemetry stream, forensics records);
+    any other artifact is one JSON document (fleet health artifact,
+    soak document or run manifest).  ``top`` caps offender-board rows;
+    ``markdown`` renders a soak document as markdown.  Raises
+    :class:`~repro.errors.ConfigurationError` for a foreign file.
+    """
+    from repro.errors import ConfigurationError
+    from repro.obs.export import loads_line, read_json
+    from repro.obs.fleet.aggregate import FLEET_SCHEMA
+    from repro.obs.forensics import format as forensics_format
+    from repro.serve import telemetry
+
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            head = loads_line(fh.readline())
+    except ValueError:
+        head = None
+    schema = head.get("schema") if isinstance(head, dict) else None
+    if schema == telemetry.SCHEMA:
+        header, snapshots, final = telemetry.read_telemetry(path)
+        data = {"header": header, "snapshots": snapshots, "final": final}
+        return data, render_telemetry(header, snapshots, final, top=top)
+    if schema == forensics_format.SCHEMA:
+        from repro.obs.forensics.attribution import summarize
+        from repro.obs.forensics.report import render_forensics
+
+        header, records = forensics_format.read_jsonl(path)
+        summary = summarize(records)
+        kept = {k: v for k, v in summary.items() if k != "margins"}
+        return ({"header": header, "summary": kept},
+                render_forensics(summary, header=header))
+    try:
+        doc = read_json(path)
+    except ValueError:
+        doc = None
+    if isinstance(doc, dict):
+        if doc.get("schema") == FLEET_SCHEMA:
+            from repro.obs.fleet.report import render_fleet_artifact
+
+            return doc, render_fleet_artifact(doc, top=top)
+        if "soak_schema_version" in doc:
+            from repro.obs.soak import report as soak
+
+            render = (soak.render_soak_markdown if markdown
+                      else soak.render_soak_text)
+            return doc, render(doc)
+        if "schema_version" in doc and doc.get("name"):
+            from repro.obs.manifest import RunManifest
+
+            data = RunManifest.from_dict(doc).to_dict()
+            return data, render_manifest(data)
+    raise ConfigurationError(
+        f"{path}: not a run manifest, telemetry stream, fleet artifact, "
+        "forensics artifact or soak document"
+    )

@@ -22,7 +22,6 @@ from repro.obs.soak.history import (
     make_record,
 )
 from repro.obs.soak.report import (
-    is_soak_document,
     render_history_text,
     render_soak_markdown,
     render_soak_text,
@@ -42,7 +41,6 @@ __all__ = [
     "corrupt_line_counts",
     "default_history_dir",
     "detect_trends",
-    "is_soak_document",
     "make_record",
     "render_history_text",
     "render_soak_markdown",

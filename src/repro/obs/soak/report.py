@@ -13,11 +13,6 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional
 
 
-def is_soak_document(data: Any) -> bool:
-    """Whether a loaded JSON object is a soak report document."""
-    return isinstance(data, dict) and "soak_schema_version" in data
-
-
 def _fmt(value: Any, digits: int = 4) -> str:
     if value is None:
         return "-"

@@ -47,7 +47,6 @@ from repro.serve.request import (
 )
 from repro.serve.telemetry import (
     TelemetrySnapshotter,
-    is_telemetry_header,
     read_telemetry,
 )
 
@@ -74,7 +73,6 @@ __all__ = [
     "TelemetrySnapshotter",
     "decode_batch_task",
     "generate_arrivals",
-    "is_telemetry_header",
     "read_telemetry",
     "render_serve_text",
     "run_serve",

@@ -29,7 +29,7 @@ import os
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
-from repro.obs.export import dumps_line, loads_line
+from repro.obs.export import dumps_line, read_tagged_jsonl
 from repro.obs.forensics.crash_flush import (
     register_aux_flush,
     unregister_aux_flush,
@@ -112,10 +112,12 @@ class TelemetrySnapshotter:
     def close(self, summary: Optional[Dict[str, Any]] = None) -> str:
         """Clean close: write the ``end`` event, stand down the crash
         hook, and return the stream path."""
+        # Unregister even after a crash flush closed the stream, so the
+        # shared atexit/SIGTERM handlers do not outlive it.
+        unregister_aux_flush(self._aux_name)
         if self._closed:
             return self.path
         self._closed = True
-        unregister_aux_flush(self._aux_name)
         self._write({
             "event": "end",
             "snapshots": self.snapshots,
@@ -123,11 +125,6 @@ class TelemetrySnapshotter:
         })
         self._fh.close()
         return self.path
-
-
-def is_telemetry_header(header: Any) -> bool:
-    """True when ``header`` looks like a telemetry-stream header line."""
-    return isinstance(header, dict) and header.get("schema") == SCHEMA
 
 
 def read_telemetry(
@@ -140,25 +137,13 @@ def read_telemetry(
     :class:`~repro.errors.ConfigurationError` on a missing/mismatched
     schema tag so foreign JSONL files fail loudly.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline()
-        if not first.strip():
-            raise ConfigurationError(f"{path}: empty telemetry stream")
-        header = loads_line(first)
-        if not is_telemetry_header(header):
-            raise ConfigurationError(
-                f"{path}: not a {SCHEMA} stream (header schema "
-                f"{header.get('schema') if isinstance(header, dict) else None!r})"
-            )
-        snapshots: List[Dict[str, Any]] = []
-        final: Optional[Dict[str, Any]] = None
-        for line in fh:
-            if not line.strip():
-                continue
-            event = loads_line(line)
-            kind = event.get("event")
-            if kind == "snapshot":
-                snapshots.append(event)
-            elif kind in ("end", "interrupted"):
-                final = event
+    header, events = read_tagged_jsonl(path, SCHEMA)
+    snapshots: List[Dict[str, Any]] = []
+    final: Optional[Dict[str, Any]] = None
+    for event in events:
+        kind = event.get("event")
+        if kind == "snapshot":
+            snapshots.append(event)
+        elif kind in ("end", "interrupted"):
+            final = event
     return header, snapshots, final

@@ -3,7 +3,7 @@
 The glue between substrates and experiments: calibrated parameter sets
 (:mod:`~repro.sim.calibration`), the Fig 13 testbed
 (:mod:`~repro.sim.geometry`), measurement records
-(:mod:`~repro.sim.measurement`), end-to-end link drivers
+(:mod:`~repro.measurement`), end-to-end link drivers
 (:mod:`~repro.sim.link`), whole-network scenarios
 (:mod:`~repro.sim.scenario`), and metrics (:mod:`~repro.sim.metrics`).
 """

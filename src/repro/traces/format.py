@@ -1,7 +1,7 @@
 """Measurement trace I/O.
 
 Real deployments log CSI/RSSI traces (the Intel CSI Tool writes its own
-binary format); we persist :class:`~repro.sim.measurement.
+binary format); we persist :class:`~repro.measurement.
 MeasurementStream` objects as compressed NPZ so experiments can be
 replayed and shared. The reader side of a recorded experiment and a
 simulated one share the same decoding code path.

@@ -8,18 +8,19 @@ recorder, and an interrupted stream is stamped as such.
 """
 
 import os
+import signal
 
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.obs import state as obs_state
+from repro.obs.forensics import crash_flush
 from repro.obs.perf.bench import SERVE_OVERLOAD_CONFIG
 from repro.obs.report import render_telemetry
 from repro.serve import ServeConfig, run_serve
 from repro.serve.telemetry import (
     SCHEMA,
     TelemetrySnapshotter,
-    is_telemetry_header,
     read_telemetry,
 )
 
@@ -43,7 +44,6 @@ class TestStreamFormat:
     def test_stream_parses_with_header_and_end(self, overload_run):
         cfg, result, path, _ = overload_run
         header, snapshots, final = read_telemetry(path)
-        assert is_telemetry_header(header)
         assert header["schema"] == SCHEMA
         assert header["run_id"] == result.report.run_id
         assert header["cadence_s"] == cfg.telemetry_cadence_s
@@ -166,12 +166,22 @@ class TestCrashMarker:
         snap.snapshot({"t_s": 1.0})
         snap._crash_flush(True)
         header, snapshots, final = read_telemetry(path)
-        assert is_telemetry_header(header)
+        assert header["schema"] == SCHEMA
         assert len(snapshots) == 1
         assert final["event"] == "interrupted"
         assert final["snapshots"] == 1
         # A later clean close is a no-op, not a double write.
         assert snap.close() == path
+
+    def test_close_after_crash_flush_restores_sigterm(self, tmp_path):
+        before = signal.getsignal(signal.SIGTERM)
+        snap = TelemetrySnapshotter(
+            str(tmp_path / "cut.jsonl"), run_id="serve-1", cadence_s=1.0
+        )
+        assert signal.getsignal(signal.SIGTERM) is crash_flush._on_sigterm
+        snap._crash_flush(True)
+        snap.close()
+        assert signal.getsignal(signal.SIGTERM) == before
 
     def test_clean_close_writes_end_once(self, tmp_path):
         path = str(tmp_path / "clean.jsonl")
