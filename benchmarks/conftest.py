@@ -6,15 +6,10 @@ summary. Run with::
 
     pytest benchmarks/ --benchmark-only -s
 
-Each figure test leaves two artifacts:
-
-* the full diagnostic record (wall time, metric snapshot, aggregated
-  span timings, git SHA) under ``benchmarks/artifacts/`` (override
-  with ``REPRO_BENCH_ARTIFACTS``), and
-* the canonical trajectory artifact ``BENCH_<test>.json`` at the
-  **repo root** with the schema ``{name, commit, timestamp,
-  metrics{...}}`` — the location and shape the cross-PR tooling and
-  ``python -m repro bench`` share. See docs/observability.md.
+Each figure test leaves its diagnostic record (wall time, metric
+snapshot, aggregated span timings, git SHA) under
+``benchmarks/artifacts/`` (override with ``REPRO_BENCH_ARTIFACTS``).
+See docs/observability.md.
 """
 
 import os
@@ -23,7 +18,6 @@ import time
 import pytest
 
 from repro import obs
-from repro.obs.perf.bench import repo_root, write_root_artifact
 
 #: Where per-figure diagnostic artifacts land; override with
 #: REPRO_BENCH_ARTIFACTS.
@@ -50,9 +44,7 @@ def obs_capture(request):
 
     Yields the live :class:`~repro.obs.MetricsRegistry` so tests can
     record figure-level results as gauges. On teardown, writes the
-    full diagnostic record to ``benchmarks/artifacts/BENCH_<test>.json``
-    and the canonical ``{name, commit, timestamp, metrics{...}}``
-    trajectory artifact to ``<repo root>/BENCH_<test>.json``.
+    full diagnostic record to ``benchmarks/artifacts/BENCH_<test>.json``.
     """
     with obs.session(metrics=True, tracing=True) as (registry, tracer):
         start = time.perf_counter()
@@ -68,15 +60,6 @@ def obs_capture(request):
         }
     name = request.node.name.replace("/", "_")
     obs.write_json(os.path.join(ARTIFACT_DIR, f"BENCH_{name}.json"), artifact)
-    # Canonical flat-schema artifact at the repo root: one scalar per
-    # metric (counters/gauges keep their value, distributions their
-    # mean), plus the wall time.
-    flat = {"wall_s": wall_s}
-    for metric, summary in snapshot.items():
-        value = summary.get("value", summary.get("mean"))
-        if isinstance(value, (int, float)):
-            flat[metric] = value
-    write_root_artifact(name, flat, root=repo_root(os.path.dirname(__file__)))
 
 
 @pytest.fixture

@@ -33,19 +33,14 @@ performance telemetry flags::
                            e.g. 'uplink.delivery.rate >= 0.99 over 200
                            frames ! critical'; violations exit 4
 
-and the benchmark harness::
-
-    python -m repro bench --quick            # run the workload matrix
-    python -m repro bench --quick --check    # gate against the baseline
-
 ``obs-report`` renders any artifact by its schema (run manifest,
 telemetry stream, fleet health, forensics records, soak document);
 ``perf-report``, ``fleet-report`` and ``forensics`` are its aliases.
 
 Exit codes: 0 success, 2 decode/link failure, 3 configuration error
 (bad arguments, malformed --faults/--slo spec, invalid scenario), 4 SLO
-violation or strict-soak envelope miss, 5 benchmark regression or
-cross-run trend regression (``history --check``).
+violation or strict-soak envelope miss, 5 cross-run trend regression
+(``history --check``).
 """
 
 from __future__ import annotations
@@ -67,7 +62,7 @@ EXIT_OK = 0
 EXIT_DECODE_FAILURE = 2
 EXIT_CONFIG_ERROR = 3
 EXIT_SLO_VIOLATION = 4
-EXIT_BENCH_REGRESSION = 5
+EXIT_TREND_REGRESSION = 5
 
 #: Subcommands whose drivers actually consume a fault plan.
 FAULT_AWARE_COMMANDS = frozenset(
@@ -598,86 +593,6 @@ def _cmd_history(args: argparse.Namespace):
     return CommandOutput(title="", rows=[], data=data), rendered
 
 
-def _cmd_bench(args: argparse.Namespace):
-    """Run the benchmark workload matrix; optionally gate on baseline."""
-    from repro.obs.perf import bench as benchmod
-
-    if args.list:
-        workloads = benchmod.list_workloads()
-        rendered = format_table(
-            ["workload", "parallel", "quick iters", "full iters",
-             "description"],
-            [
-                [w["name"], "yes" if w["parallel"] else "no",
-                 w["quick_iterations"], w["full_iterations"],
-                 w["description"]]
-                for w in workloads
-            ],
-            title=f"benchmark workload matrix ({len(workloads)} workloads)",
-        )
-        return CommandOutput(
-            title="", rows=[], data={"workloads": workloads}
-        ), rendered
-
-    results = benchmod.run_bench(
-        quick=not args.full,
-        workloads=args.workloads or None,
-        seed=args.seed,
-        progress=lambda msg: print(msg, file=sys.stderr),
-        workers=args.workers,
-    )
-    root = args.out_dir or benchmod.repo_root()
-    paths = benchmod.write_bench_artifacts(results, root=root)
-    rows = []
-    for r in results:
-        for metric, value in r.metrics.items():
-            rows.append([r.name, metric, f"{value:.6g}"])
-    rendered = format_table(
-        ["workload", "metric", "value"], rows,
-        title="benchmark workload matrix "
-              f"({'quick' if not args.full else 'full'})",
-    )
-    rendered += "\n\nartifacts:\n" + "\n".join(f"  {p}" for p in paths)
-    data: Dict[str, Any] = {
-        "quick": not args.full,
-        "seed": args.seed,
-        "workloads": {r.name: r.metrics for r in results},
-        "artifacts": paths,
-    }
-    baseline_path = args.baseline or os.path.join(
-        benchmod.repo_root(), benchmod.DEFAULT_BASELINE
-    )
-    if args.write_baseline:
-        doc = benchmod.make_baseline(results)
-        obs.write_json(baseline_path, doc)
-        rendered += f"\n\nbaseline written to {baseline_path}"
-        data["baseline_written"] = baseline_path
-    if args.check:
-        try:
-            baseline = benchmod.load_baseline(baseline_path)
-        except FileNotFoundError:
-            raise ConfigurationError(
-                f"no baseline at {baseline_path}; run "
-                "'repro bench --write-baseline' first"
-            )
-        diffs = benchmod.compare_to_baseline(results, baseline)
-        rendered += "\n\n" + benchmod.render_diffs(diffs)
-        regressions = [d for d in diffs if d.regressed]
-        data["regressed"] = bool(regressions)
-        data["regressions"] = [
-            {
-                "workload": d.workload,
-                "metric": d.metric,
-                "baseline": d.baseline,
-                "measured": d.measured,
-                "tolerance": d.tolerance,
-                "direction": d.direction,
-            }
-            for d in regressions
-        ]
-    return CommandOutput(title="", rows=[], data=data), rendered
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -950,32 +865,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check", action="store_true",
                    help="run EWMA trend detection; regressions exit 5")
     p.set_defaults(func=_cmd_history)
-
-    p = sub.add_parser("bench", parents=[common],
-                       help="run the benchmark workload matrix")
-    p.add_argument("--list", action="store_true",
-                   help="enumerate the workload matrix without running")
-    p.add_argument("--quick", action="store_true", default=True,
-                   help="few iterations per workload (default)")
-    p.add_argument("--full", action="store_true",
-                   help="more iterations per workload")
-    p.add_argument("--check", action="store_true",
-                   help="compare against the committed baseline; "
-                        "regressions exit with code 5")
-    p.add_argument("--write-baseline", action="store_true",
-                   help="write this run as the new baseline")
-    p.add_argument("--baseline", default=None,
-                   help="baseline JSON path "
-                        "(default: <repo>/benchmarks/baseline.json)")
-    p.add_argument("--workloads", nargs="*", default=None,
-                   help="subset of workloads to run")
-    p.add_argument("--out-dir", default=None,
-                   help="where BENCH_*.json land (default: repo root)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1,
-                   help="parallel trial workers per workload; >1 also "
-                        "measures speedup_vs_serial")
-    p.set_defaults(func=_cmd_bench)
     return parser
 
 
@@ -1144,11 +1033,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_SLO_VIOLATION
     if args.command == "soak" and result.data.get("strict_failed"):
         return EXIT_SLO_VIOLATION
-    if (
-        args.command in ("bench", "history")
-        and result.data.get("regressed")
-    ):
-        return EXIT_BENCH_REGRESSION
+    if args.command == "history" and result.data.get("regressed"):
+        return EXIT_TREND_REGRESSION
     return EXIT_OK
 
 

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.subchannel import expected_chips_at
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, DecodeError
 
 #: Floor applied to estimated noise variances to avoid infinite weights.
 MIN_VARIANCE = 1e-6
@@ -42,6 +42,10 @@ def estimate_noise_variance(
 
     Returns:
         Variance per channel, floored at :data:`MIN_VARIANCE`.
+
+    Raises:
+        DecodeError: fewer than 2 packets fell inside the preamble (a
+            starved stream, not a bad configuration).
     """
     normalized = np.asarray(normalized, dtype=float)
     chips = expected_chips_at(
@@ -49,7 +53,7 @@ def estimate_noise_variance(
     )
     mask = chips != 0
     if int(mask.sum()) < 2:
-        raise ConfigurationError(
+        raise DecodeError(
             "need at least 2 preamble packets to estimate noise variance"
         )
     residual = normalized[mask] - np.outer(chips[mask], correlations)

@@ -220,8 +220,8 @@ def _frame_failure_label(record: Dict[str, Any]) -> Optional[Tuple[str, str]]:
     if failure in _FAULT_FAILURES:
         return "fault_window_overlap", _FAULT_FAILURES[failure]
     if failure is not None:
-        # Any abort (DecodeError, ConfigurationError from a starved
-        # decoder, ...) with injected-fault evidence on record is the
+        # Any abort (DecodeError, e.g. from a preamble starved of
+        # packets, ...) with injected-fault evidence on record is the
         # faults' doing: packets were dropped or the tag went dark
         # before the decoder ever had a chance.
         faults = stages.get("faults")

@@ -1,4 +1,4 @@
-"""Performance telemetry: time series, profiling, SLOs, benchmarks.
+"""Performance telemetry: time series, profiling, SLOs.
 
 Layered on the :mod:`repro.obs` registry, this package turns the
 point-in-time instrumentation into an *operated* system:
@@ -12,13 +12,7 @@ point-in-time instrumentation into an *operated* system:
 * :mod:`~repro.obs.perf.slo` — declarative :class:`SloRule` objectives
   (``uplink.delivery.rate >= 0.99 over 200 frames``) evaluated by an
   :class:`SloEngine` into typed :class:`AlertEvent`s;
-* :mod:`~repro.obs.perf.bench` — the standardized workload matrix
-  behind ``python -m repro bench``, repo-root ``BENCH_*.json``
-  artifacts, and the regression gate against
-  ``benchmarks/baseline.json``;
 * :mod:`~repro.obs.perf.report` — profile and alert rendering.
-
-``bench`` is imported lazily (it pulls in the simulation drivers).
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Rendering for performance telemetry: perf reports and alert tables.
 
-Used by ``python -m repro obs-report``, the ``--profile`` CLI flag,
-and the bench harness.  Follows the same ASCII-table style as
+Used by ``python -m repro obs-report`` and the ``--profile`` CLI
+flag.  Follows the same ASCII-table style as
 :mod:`repro.obs.report`.
 """
 

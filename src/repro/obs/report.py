@@ -76,7 +76,13 @@ def render_metrics(metrics: Dict[str, Dict[str, Any]]) -> str:
         else:
             value = summary.get("mean")
             parts = []
-            for key in ("count", "min", "max", "p95"):
+            count, retained = summary.get("count"), summary.get("retained")
+            if retained is not None and count is not None and retained < count:
+                # A time series' stats cover its retained ring only.
+                parts.append(f"last {retained} of {count}:")
+            elif count is not None:
+                parts.append(f"count={_fmt_attr(count)}")
+            for key in ("min", "max", "p95"):
                 if summary.get(key) is not None:
                     parts.append(f"{key}={_fmt_attr(summary[key])}")
             detail = " ".join(parts)

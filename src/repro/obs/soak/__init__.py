@@ -4,8 +4,7 @@
 (:mod:`repro.scenarios`) through the parallel engine, appends one
 record per scenario to the append-only history store under
 ``benchmarks/history/``, and runs windowed EWMA trend detection with
-the same direction-aware tolerance semantics as the benchmark
-regression gate.
+direction-aware tolerances (``repro history --check``).
 """
 
 from repro.obs.soak.history import (

@@ -2,15 +2,13 @@
 
 Every soak run appends one record per scenario to
 ``benchmarks/history/<scenario>.jsonl`` — keyed by commit, timestamp,
-host, and trial scale, mirroring the repo-root ``BENCH_*.json``
-artifact schema.  The store is append-only on purpose: history is
-evidence, and rewriting it would defeat the point.
+host, and trial scale.  The store is append-only on purpose: history
+is evidence, and rewriting it would defeat the point.
 
 :func:`detect_trends` runs a windowed EWMA over each scenario's
-history with the same direction-aware tolerance semantics as the
-benchmark regression gate (:mod:`repro.obs.perf.bench`): a metric only
-flags when the newest record moves past the smoothed baseline in its
-*bad* direction.  Records from dirty checkouts or mismatched trial
+history with direction-aware tolerances: a metric only flags when the
+newest record moves past the smoothed baseline in its *bad*
+direction.  Records from dirty checkouts or mismatched trial
 scales are excluded from the baseline window, and wall-clock metrics
 are additionally only compared across records from the same host.
 """
@@ -20,27 +18,25 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from datetime import datetime, timezone
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.errors import ConfigurationError
 from repro.obs.manifest import git_dirty, git_sha, hostname
-from repro.obs.perf.bench import (
-    HIGHER_BETTER,
-    LOWER_BETTER,
-    repo_root,
-    utc_timestamp,
-)
 
 #: History record schema version.
 HISTORY_SCHEMA_VERSION = 1
+
+#: Direction semantics for regression checks.
+HIGHER_BETTER = "higher_better"
+LOWER_BETTER = "lower_better"
 
 #: Default store location, relative to the repo root.
 DEFAULT_HISTORY_SUBDIR = os.path.join("benchmarks", "history")
 
 #: Per-metric trend semantics: direction + relative/absolute slack.
 #: BER and goodput are deterministic given the seed, so their bands are
-#: tight; per-trial latency is wall-clock and gets the same wide band
-#: the bench gate uses for timing metrics.
+#: tight; per-trial latency is wall-clock and gets a wide band.
 TREND_SPECS: Dict[str, Dict[str, Any]] = {
     "ber": {"direction": LOWER_BETTER, "rtol": 0.25, "atol": 0.002,
             "wall_clock": False},
@@ -53,6 +49,23 @@ TREND_SPECS: Dict[str, Dict[str, Any]] = {
 #: EWMA smoothing factor and the minimum baseline window size.
 EWMA_ALPHA = 0.3
 MIN_HISTORY = 3
+
+
+def repo_root(start: Optional[str] = None) -> str:
+    """Nearest ancestor holding ``pyproject.toml`` (fallback: cwd)."""
+    here = os.path.abspath(start or os.getcwd())
+    probe = here
+    while True:
+        if os.path.exists(os.path.join(probe, "pyproject.toml")):
+            return probe
+        parent = os.path.dirname(probe)
+        if parent == probe:
+            return here
+        probe = parent
+
+
+def utc_timestamp() -> str:
+    return datetime.now(timezone.utc).isoformat()
 
 
 def default_history_dir() -> str:

@@ -17,8 +17,13 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.errors import ConfigurationError
 from repro.obs.manifest import git_dirty, git_sha, hostname
-from repro.obs.perf.bench import utc_timestamp
-from repro.obs.soak.history import HistoryStore, TrendFlag, detect_trends, make_record
+from repro.obs.soak.history import (
+    HistoryStore,
+    TrendFlag,
+    detect_trends,
+    make_record,
+    utc_timestamp,
+)
 from repro.scenarios.registry import ScenarioRegistry, builtin_registry
 from repro.scenarios.runner import ScenarioResult, run_scenario
 

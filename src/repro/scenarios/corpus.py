@@ -13,7 +13,7 @@ regressions (a decode path broken at an operating point), while the
 cross-run history (:mod:`repro.obs.soak.history`) catches slow drift.
 
 Trial counts are sized so the full corpus soaks in seconds — breadth
-over depth; the benchmark matrix owns the deep timing measurements.
+over depth; ``bench/`` owns the deep timing measurements.
 """
 
 from __future__ import annotations

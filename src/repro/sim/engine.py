@@ -28,8 +28,8 @@ histogram's running total, which is summed per task).
 
 The pool is process-global and cached across calls: pool creation costs
 ~100ms+ (fork + interpreter bookkeeping), which would swamp short
-workloads if paid per sweep.  :func:`warm_pool` lets the benchmark
-harness pay that cost outside its timed region.
+workloads if paid per sweep.  :func:`warm_pool` lets a caller pay
+that cost up front, outside the region it times.
 """
 
 from __future__ import annotations
@@ -97,8 +97,10 @@ def ensure_pool(workers: int) -> Optional[ProcessPoolExecutor]:
 def warm_pool(workers: int) -> bool:
     """Spawn the pool's worker processes up front.
 
-    Used by the benchmark harness to keep fork/startup cost out of the
-    timed region.  Returns True when a pool is ready.
+    Keeps fork/startup cost out of whatever runs next: the soak runner
+    calls it before fanning out scenarios, and the CI parallel-speedup
+    step before timing serial vs pooled ``run_uplink_ber``.  Returns
+    True when a pool is ready.
     """
     pool = ensure_pool(workers)
     if pool is None:

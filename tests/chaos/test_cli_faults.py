@@ -10,6 +10,7 @@ import json
 import pytest
 
 from repro.cli import EXIT_CONFIG_ERROR, EXIT_DECODE_FAILURE, EXIT_OK, main
+from repro.obs.forensics import read_jsonl
 
 pytestmark = pytest.mark.chaos
 
@@ -48,6 +49,19 @@ class TestExitCodes:
         ])
         assert code == EXIT_DECODE_FAILURE
         assert "decode failure:" in capsys.readouterr().err
+
+    def test_starved_preamble_is_decode_failure(self, capsys, tmp_path):
+        # 0.1 packets per bit leaves fewer than 2 packets in the
+        # preamble: a data condition, so exit 2 with the record written.
+        record = tmp_path / "rec.jsonl"
+        code = main([
+            "uplink-ber", "--distance", "0.3", "--pkts-per-bit", "0.1",
+            "--repeats", "1", "--record", str(record),
+        ])
+        assert code == EXIT_DECODE_FAILURE
+        assert "need at least 2 preamble packets" in capsys.readouterr().err
+        _, records = read_jsonl(str(record))
+        assert [r["failure"] for r in records] == ["DecodeError"]
 
 
 class TestFaultPlumbing:

@@ -1,17 +1,15 @@
-"""Chaos suite: SLO alerting and benchmark gating through the CLI.
+"""Chaos suite: SLO alerting through the CLI.
 
 Extends the exit-code contract: 4 = an SLO objective was violated
-during the run, 5 = the bench regression gate tripped.
+during the run.
 """
 
 import json
-import os
 
 import pytest
 
 from repro import obs
 from repro.cli import (
-    EXIT_BENCH_REGRESSION,
     EXIT_CONFIG_ERROR,
     EXIT_OK,
     EXIT_SLO_VIOLATION,
@@ -109,75 +107,3 @@ class TestSloExitCode:
         out = capsys.readouterr().out
         assert "perf report" in out
         assert "uplink.decode" in out
-
-
-class TestBenchGate:
-    QUICK = ["bench", "--quick", "--workloads", "downlink_far",
-             "--seed", "3"]
-
-    def test_bench_writes_root_artifact_and_baseline(self, tmp_path, capsys):
-        baseline = str(tmp_path / "baseline.json")
-        code = main(self.QUICK + [
-            "--out-dir", str(tmp_path), "--write-baseline",
-            "--baseline", baseline,
-        ])
-        assert code == EXIT_OK
-        artifact = obs.read_json(str(tmp_path / "BENCH_downlink_far.json"))
-        assert set(artifact) == {
-            "name", "commit", "git_dirty", "hostname", "timestamp",
-            "metrics",
-        }
-        assert "latency_p95_s" in artifact["metrics"]
-        assert "throughput_bps" in artifact["metrics"]
-        assert os.path.exists(baseline)
-        capsys.readouterr()
-
-    def test_check_passes_against_fresh_baseline(self, tmp_path, capsys):
-        baseline = str(tmp_path / "baseline.json")
-        main(self.QUICK + [
-            "--out-dir", str(tmp_path), "--write-baseline",
-            "--baseline", baseline,
-        ])
-        capsys.readouterr()
-        code = main(self.QUICK + [
-            "--out-dir", str(tmp_path), "--check", "--baseline", baseline,
-        ])
-        assert code == EXIT_OK
-        assert "regression gate" in capsys.readouterr().out
-
-    def test_regression_exits_5_with_per_metric_diff(self, tmp_path, capsys):
-        baseline = str(tmp_path / "baseline.json")
-        main(self.QUICK + [
-            "--out-dir", str(tmp_path), "--write-baseline",
-            "--baseline", baseline,
-        ])
-        capsys.readouterr()
-        # Doctor the baseline into an impossible objective so the fresh
-        # run must regress against it.
-        doc = obs.read_json(baseline)
-        entry = doc["workloads"]["downlink_far"]["metrics"]["throughput_bps"]
-        entry["value"] = entry["value"] * 1e6
-        entry["tolerance"] = 0.01
-        obs.write_json(baseline, doc)
-        code = main(self.QUICK + [
-            "--out-dir", str(tmp_path), "--check", "--baseline", baseline,
-        ])
-        assert code == EXIT_BENCH_REGRESSION
-        out = capsys.readouterr().out
-        assert "REGRESSED" in out
-        assert "throughput_bps" in out
-
-    def test_check_without_baseline_is_config_error(self, tmp_path, capsys):
-        code = main(self.QUICK + [
-            "--out-dir", str(tmp_path), "--check",
-            "--baseline", str(tmp_path / "missing.json"),
-        ])
-        assert code == EXIT_CONFIG_ERROR
-        assert "no baseline" in capsys.readouterr().err
-
-    def test_unknown_workload_is_config_error(self, tmp_path, capsys):
-        code = main([
-            "bench", "--workloads", "nope", "--out-dir", str(tmp_path),
-        ])
-        assert code == EXIT_CONFIG_ERROR
-        capsys.readouterr()

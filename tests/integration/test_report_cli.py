@@ -27,7 +27,6 @@ from repro.serve.telemetry import read_telemetry
 
 NAMES = ("obs-report", "perf-report", "fleet-report", "forensics")
 KINDS = ("manifest", "telemetry", "fleet", "forensics", "soak")
-REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 @pytest.fixture(autouse=True)
@@ -161,7 +160,14 @@ def test_foreign_files_exit_3_with_one_error_line(
         path = tmp_path / "empty.json"
         path.write_text("")
     elif foreign == "bench":
-        path = REPO_ROOT / "BENCH_uplink_csi_near.json"
+        # A benchmark result: named JSON with metrics but no schema key.
+        path = tmp_path / "BENCH_uplink_csi_near.json"
+        path.write_text(json.dumps({
+            "name": "uplink_csi_near", "commit": "0" * 40,
+            "git_dirty": False, "hostname": "host",
+            "timestamp": "2026-01-01T00:00:00+00:00",
+            "metrics": {"wall_s": 0.65, "ber": 0.0009},
+        }))
     else:
         path = artifacts[foreign]
     code = main(["obs-report", str(path)])
@@ -171,6 +177,20 @@ def test_foreign_files_exit_3_with_one_error_line(
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert "not a run manifest" in lines[0]
+
+
+def test_manifest_labels_a_wrapped_series_as_windowed(tmp_path, capsys):
+    path = str(tmp_path / "run.json")
+    with obs.session(tracing=False):
+        series = obs.timeseries("uplink.ber.window", capacity=4)
+        for i in range(10):
+            series.sample(i / 10)
+        obs.build_manifest("windowed").write(path)
+    code = main(["obs-report", path])
+    assert code == EXIT_OK
+    out = capsys.readouterr().out
+    assert "last 4 of 10: min=0.6 max=0.9 " in out
+    assert "count=10" not in out
 
 
 def test_missing_path_names_the_artifact(tmp_path):

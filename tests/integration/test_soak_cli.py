@@ -106,11 +106,6 @@ class TestScenariosCli:
         assert code == 3
         assert "turbo" in out
 
-    def test_bench_list(self, capsys):
-        code, out = run_cli(capsys, ["bench", "--list"])
-        assert code == 0
-        assert "uplink_csi_near" in out and "downlink_far" in out
-
 
 class TestSoakCli:
     def test_soak_appends_history(self, capsys, tmp_path):

@@ -2,7 +2,15 @@
 
 import pytest
 
-from repro.cli import EXIT_CONFIG_ERROR, build_parser, main
+from repro.cli import (
+    EXIT_CONFIG_ERROR,
+    EXIT_DECODE_FAILURE,
+    EXIT_OK,
+    EXIT_SLO_VIOLATION,
+    EXIT_TREND_REGRESSION,
+    build_parser,
+    main,
+)
 
 
 def run_cli(capsys, argv):
@@ -83,6 +91,20 @@ class TestCli:
     def test_unknown_command(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
+
+    def test_retired_bench_command_is_an_invalid_choice(self, capsys):
+        # Timing lives in bench/run.py; no alias or shim keeps the old
+        # in-process ``bench`` subcommand alive.
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--list"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err and "bench" in err
+
+    def test_exit_codes_are_distinct(self):
+        # 5 now means only a ``history --check`` trend regression.
+        assert [EXIT_OK, EXIT_DECODE_FAILURE, EXIT_CONFIG_ERROR,
+                EXIT_SLO_VIOLATION, EXIT_TREND_REGRESSION] == [0, 2, 3, 4, 5]
 
     def test_parser_help_lists_commands(self):
         parser = build_parser()

@@ -10,7 +10,7 @@ from repro.core.combining import (
     estimate_noise_variance,
     make_weights,
 )
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, DecodeError
 
 BIT = 0.01
 PRE = barker_bits()
@@ -45,10 +45,29 @@ class TestNoiseVariance:
     def test_needs_preamble_packets(self):
         matrix = np.ones((5, 2))
         times = np.arange(5) * 1000.0  # all outside the preamble span
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(DecodeError, match="2 preamble packets"):
             estimate_noise_variance(
                 matrix, times, 0.0, PRE, BIT, np.array([1.0, 1.0])
             )
+
+    def test_one_preamble_packet_is_a_decode_failure(self):
+        # A starved stream is a data condition, not a bad invocation.
+        matrix = np.ones((5, 2))
+        times = np.array([0.0, 1000.0, 2000.0, 3000.0, 4000.0])
+        with pytest.raises(DecodeError) as exc:
+            estimate_noise_variance(
+                matrix, times, 0.0, PRE, BIT, np.array([1.0, 1.0])
+            )
+        assert not isinstance(exc.value, ConfigurationError)
+
+    def test_two_preamble_packets_suffice(self):
+        matrix = np.array([[1.0, 0.5], [-1.0, 0.7], [0.0, 0.0]])
+        times = np.array([0.0, 1.5 * BIT, 1000.0])
+        var = estimate_noise_variance(
+            matrix, times, 0.0, PRE, BIT, np.array([1.0, 0.0])
+        )
+        assert var.shape == (2,)
+        assert np.all(np.isfinite(var)) and np.all(var >= MIN_VARIANCE)
 
 
 class TestMakeWeights:

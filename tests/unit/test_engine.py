@@ -78,6 +78,17 @@ class TestRunTrials:
         assert engine.ensure_pool(1) is None
         assert engine.ensure_pool(0) is None
 
+    def test_warm_pool_keeps_a_pool_of_the_same_size(self):
+        # The module fixture warmed a WORKERS-process pool; warming
+        # again at that size reuses it instead of re-forking.
+        pool = engine.ensure_pool(WORKERS)
+        assert engine.warm_pool(WORKERS)
+        assert engine.ensure_pool(WORKERS) is pool
+
+    def test_warm_pool_without_fan_out_builds_nothing(self):
+        assert engine.warm_pool(1) is False
+        assert engine.warm_pool(0) is False
+
     def test_task_exception_propagates(self):
         with pytest.raises(TypeError):
             engine.run_trials(_square, [None], workers=WORKERS)

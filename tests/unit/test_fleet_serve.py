@@ -18,16 +18,36 @@ from repro.faults import parse_fault_spec
 from repro.obs.export import dumps_line
 from repro.obs.fleet import FLEET_SCHEMA
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.perf.bench import FLEET_TELEMETRY_CONFIG
 from repro.serve import ServeConfig, run_serve
 from repro.serve.telemetry import read_telemetry
 from repro.sim import engine
 
 SEED = 11
 
-#: The bench shape, shortened: 20 rps offered on 25 rps decode
-#: capacity with tag 7 sabotaged out to 2.4 m, full population
-#: tracked so the anomaly accrues without LRU churn.
+#: A saturated gateway serving 64 tag addresses with one sabotaged tag
+#: (address 7 decoding at a hostile 2.4 m), through a fleet registry
+#: smaller than the tag population so the LRU eviction path is always
+#: hot (also a golden case in test_golden_synthesis.py).
+FLEET_TELEMETRY_CONFIG = {
+    "duration_s": 12.0,
+    "offered_load_rps": 20.0,
+    "deadline_ms": 2500.0,
+    "queue_capacity": 24,
+    "batch": 4,
+    "workers": 0,
+    "n_tags": 64,
+    "payload_bits": 8,
+    "packets_per_bit": 6.0,
+    "bit_rate_bps": 200.0,   # 25 rps capacity: decodes, not sheds, dominate
+    "fleet_capacity": 16,
+    "fleet_top_k": 8,
+    "fleet_min_requests": 2,
+    "outlier_tags": (7,),
+    "outlier_distance_m": 2.4,
+}
+
+#: That shape, shortened: 20 rps offered on 25 rps decode capacity,
+#: full population tracked so the anomaly accrues without LRU churn.
 FLEET_RUN = dict(
     FLEET_TELEMETRY_CONFIG,
     duration_s=10.0,
@@ -111,6 +131,29 @@ class TestFleetBlock:
         payload = artifact["payload"]
         assert payload["outcomes"] == result.report.fleet["outcomes"]
         assert 7 in artifact["summary"]["anomalous"]
+
+
+@pytest.fixture(scope="module")
+def churn_run():
+    """The full 64-tag population through the 16-slot fleet registry."""
+    obs.disable()
+    obs.reset()
+    return run_serve(ServeConfig(**FLEET_TELEMETRY_CONFIG), seed=0)
+
+
+class TestLruChurn:
+    def test_tracked_set_is_capped_and_churns(self, churn_run):
+        fleet = churn_run.report.fleet
+        assert fleet["tracked"] == FLEET_TELEMETRY_CONFIG["fleet_capacity"]
+        assert fleet["evictions"] > 0
+        assert fleet["tags_seen"] == fleet["tracked"] + fleet["evictions"]
+
+    def test_sabotaged_tag_tops_the_error_board_through_churn(
+        self, churn_run
+    ):
+        # The offender boards outlive LRU eviction from the tracked set.
+        board = churn_run.report.fleet["offenders"]["error_bits"]
+        assert board and board[0]["key"] == "7"
 
 
 class TestWorkerDeterminism:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.frames import UplinkFrame
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, DecodeError
 from repro.sim.link import (
     SimulatedDownlinkTransport,
     SimulatedUplinkTransport,
@@ -64,6 +64,13 @@ class TestUplinkTrials:
     def test_invalid_repeats(self):
         with pytest.raises(ConfigurationError):
             run_uplink_ber(0.05, 30, repeats=0)
+
+    def test_starved_preamble_is_a_decode_error(self):
+        # 0.1 packets per bit leaves fewer than 2 packets inside the
+        # 13-bit Barker preamble, so the noise estimate has nothing to
+        # work from.
+        with pytest.raises(DecodeError, match="2 preamble packets"):
+            run_uplink_ber(0.3, 0.1, repeats=1, seed=0)
 
 
 class TestCorrelationTrials:

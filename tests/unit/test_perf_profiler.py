@@ -108,6 +108,17 @@ class TestModuleContract:
         assert not obs.profiling_enabled()
 
 
+class TestPipelineStages:
+    def test_uplink_decode_profile_names_its_stages(self):
+        from repro.sim.link import run_uplink_ber
+
+        with obs.session(tracing=False, profiling=True):
+            run_uplink_ber(0.3, 12.0, repeats=1, num_payload_bits=45, seed=1)
+            snap = obs.get_profiler().snapshot()
+        for stage in ("uplink.decode", "conditioning.condition"):
+            assert snap[stage]["calls"] >= 1, stage
+
+
 class TestInstrumentationOverheadContract:
     """Pin the "within noise when disabled" acceptance criterion.
 

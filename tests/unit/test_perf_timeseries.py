@@ -9,6 +9,7 @@ from repro.errors import ConfigurationError
 from repro.obs.fleet.sketch import DEFAULT_ALPHA
 from repro.obs.metrics import MetricsRegistry, NULL_METRIC
 from repro.obs.perf.timeseries import TimeSeries, percentile_of
+from repro.obs.report import render_metrics
 
 
 @pytest.fixture(autouse=True)
@@ -235,3 +236,33 @@ class TestRegistryIntegration:
         with obs.session(tracing=False) as (registry, _):
             obs.timeseries("live").sample(1.0)
             assert registry.snapshot()["live"]["count"] == 1
+
+    def test_report_labels_ring_stats_as_windowed(self):
+        r = MetricsRegistry()
+        ts = r.timeseries("s", capacity=4)
+        for i in range(10):
+            ts.sample(float(i))
+        assert r.snapshot()["s"]["retained"] == 4
+        table = render_metrics(r.snapshot())
+        assert "last 4 of 10: min=6 max=9 " in table
+        assert "count=10" not in table
+        r.timeseries("full", capacity=4).sample(1.0)
+        assert "count=1 min=1 max=1 " in render_metrics(r.snapshot())
+
+    def test_report_full_unwrapped_ring_keeps_the_run_count(self):
+        # Exactly ``capacity`` samples: the ring still holds the whole
+        # run, so its stats are the run's.
+        r = MetricsRegistry()
+        ts = r.timeseries("s", capacity=4)
+        for i in range(4):
+            ts.sample(float(i))
+        table = render_metrics(r.snapshot())
+        assert "count=4 min=0 max=3 " in table
+        assert "last " not in table
+
+    def test_report_sketch_stats_cover_the_whole_run(self):
+        r = MetricsRegistry()
+        r.histogram("h").observe_many([float(i) for i in range(2000)])
+        table = render_metrics(r.snapshot())
+        assert "count=2000 min=0 max=1999 " in table
+        assert "last " not in table

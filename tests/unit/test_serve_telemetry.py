@@ -1,7 +1,7 @@
 """Telemetry snapshot stream: schema, burn alerts, and crash markers.
 
-Drives the gateway with the serve_overload benchmark shape and checks
-the operational contract end to end: the JSONL stream parses, a
+Drives the gateway through a 2x overload burst and checks the
+operational contract end to end: the JSONL stream parses, a
 burn-rate alert fires inside the burst window and clears after
 recovery, exemplar correlation IDs resolve against the flight
 recorder, and an interrupted stream is stamped as such.
@@ -15,7 +15,6 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.obs import state as obs_state
 from repro.obs.forensics import crash_flush
-from repro.obs.perf.bench import SERVE_OVERLOAD_CONFIG
 from repro.obs.report import render_telemetry
 from repro.serve import ServeConfig, run_serve
 from repro.serve.telemetry import (
@@ -23,6 +22,23 @@ from repro.serve.telemetry import (
     TelemetrySnapshotter,
     read_telemetry,
 )
+
+#: The overload shape as ServeConfig kwargs: a 2x overload burst over a
+#: 6.25 rps gateway (also a golden case in test_golden_synthesis.py).
+SERVE_OVERLOAD_CONFIG = {
+    "duration_s": 8.0,
+    "offered_load_rps": 4.0,
+    "burst_load_rps": 12.5,   # 2x the 6.25 rps decode capacity
+    "burst_start_s": 2.0,
+    "burst_end_s": 6.0,
+    "deadline_ms": 2500.0,
+    "queue_capacity": 12,
+    "batch": 4,
+    "workers": 0,
+    "payload_bits": 8,
+    "packets_per_bit": 6.0,
+    "bit_rate_bps": 50.0,
+}
 
 
 @pytest.fixture
@@ -218,3 +234,21 @@ class TestRendering:
             {"run_id": "serve-0", "cadence_s": 1.0, "seed": 0}, [], None
         )
         assert "truncated" in text
+
+
+class TestOverloadShape:
+    """The 2x burst sheds part of the load, reproducibly per seed."""
+
+    def test_burst_sheds_some_but_not_all(self):
+        report = run_serve(ServeConfig(**SERVE_OVERLOAD_CONFIG), seed=0).report
+        assert 0 < report.shed < report.arrivals
+        assert report.delivered > 0
+        assert set(report.shed_by_reason) == {"queue_full"}
+        assert report.queue_depth_max == \
+            SERVE_OVERLOAD_CONFIG["queue_capacity"]
+
+    def test_outcome_counts_and_p99_are_seed_stable(self):
+        cfg = ServeConfig(**SERVE_OVERLOAD_CONFIG)
+        a, b = (run_serve(cfg, seed=3).report for _ in range(2))
+        assert (a.shed, a.delivered, a.latency_p99_s) == \
+            (b.shed, b.delivered, b.latency_p99_s)

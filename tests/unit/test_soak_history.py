@@ -1,6 +1,8 @@
 """Cross-run history store and EWMA trend detection."""
 
 import json
+import os
+from datetime import datetime, timedelta, timezone
 
 import pytest
 
@@ -12,6 +14,14 @@ from repro.obs.soak import (
     corrupt_line_counts,
     detect_trends,
     make_record,
+)
+from repro.obs.soak.history import (
+    HIGHER_BETTER,
+    LOWER_BETTER,
+    TREND_SPECS,
+    default_history_dir,
+    repo_root,
+    utc_timestamp,
 )
 
 
@@ -30,6 +40,50 @@ def record(scenario="geom_csi_030cm", ber=0.02, throughput=180.0,
     rec.update({"git_dirty": False, "hostname": "testhost"})
     rec.update(overrides)
     return rec
+
+
+class TestRepoRoot:
+    def test_finds_pyproject_ancestor(self, tmp_path):
+        (tmp_path / "pyproject.toml").write_text("[project]\n")
+        nested = tmp_path / "a" / "b"
+        nested.mkdir(parents=True)
+        assert repo_root(str(nested)) == str(tmp_path)
+
+    def test_falls_back_to_start(self, tmp_path):
+        nested = tmp_path / "no" / "project"
+        nested.mkdir(parents=True)
+        root = repo_root(str(nested))
+        # No pyproject anywhere up the tmp tree (or it found a real
+        # one above); either way the result is an existing directory.
+        assert os.path.isdir(root)
+
+    def test_defaults_to_the_working_directory(self, tmp_path,
+                                               monkeypatch):
+        (tmp_path / "pyproject.toml").write_text("[project]\n")
+        nested = tmp_path / "src" / "pkg"
+        nested.mkdir(parents=True)
+        monkeypatch.chdir(nested)
+        assert repo_root() == str(tmp_path)
+
+    def test_default_store_sits_under_the_repo_root(self, tmp_path,
+                                                    monkeypatch):
+        (tmp_path / "pyproject.toml").write_text("[project]\n")
+        monkeypatch.chdir(tmp_path)
+        expected = str(tmp_path / "benchmarks" / "history")
+        assert default_history_dir() == expected
+        assert HistoryStore().directory == expected
+
+
+class TestTimestamp:
+    def test_utc_timestamp_is_aware_iso8601_utc(self):
+        stamp = datetime.fromisoformat(utc_timestamp())
+        assert stamp.utcoffset() == timedelta(0)
+        assert abs(datetime.now(timezone.utc) - stamp) < timedelta(minutes=1)
+
+    def test_records_carry_a_utc_timestamp(self):
+        rec = make_record("s", {"ber": 0.0})
+        assert datetime.fromisoformat(rec["timestamp"]).utcoffset() == \
+            timedelta(0)
 
 
 class TestStore:
@@ -176,3 +230,70 @@ class TestTrendDetection:
             ("geom_csi_030cm", "ber"),
         ]
         assert check_store(store, ["rssi_near_015cm"]) == []
+
+
+def spec(direction, rtol, atol=0.0):
+    """A one-metric trend spec on metric ``x``."""
+    return {"x": {"direction": direction, "rtol": rtol, "atol": atol,
+                  "wall_clock": False}}
+
+
+def series(*values):
+    """Clean same-host records whose only metric is ``x``."""
+    return [record(metrics={"x": v}) for v in values]
+
+
+class TestTrendBands:
+    """Direction-aware band edges of :func:`detect_trends`."""
+
+    def test_default_specs_name_a_direction_each(self):
+        assert TREND_SPECS["ber"]["direction"] == LOWER_BETTER
+        assert TREND_SPECS["latency_s"]["direction"] == LOWER_BETTER
+        assert TREND_SPECS["throughput_bps"]["direction"] == HIGHER_BETTER
+        assert {s["direction"] for s in TREND_SPECS.values()} == {
+            HIGHER_BETTER, LOWER_BETTER,
+        }
+
+    def test_higher_better_flags_only_a_drop_past_the_band(self):
+        specs = spec(HIGHER_BETTER, rtol=0.20)
+        assert detect_trends(series(100, 100, 100, 85), specs) == []
+        assert detect_trends(series(100, 100, 100, 400), specs) == []
+        [flag] = detect_trends(series(100, 100, 100, 70), specs)
+        assert flag.direction == HIGHER_BETTER
+        assert flag.limit == pytest.approx(80.0)
+
+    def test_lower_better_flags_only_a_rise_past_the_band(self):
+        specs = spec(LOWER_BETTER, rtol=0.10)
+        assert detect_trends(series(0.01, 0.01, 0.01, 0.0105), specs) == []
+        assert detect_trends(series(0.01, 0.01, 0.01, 0.0), specs) == []
+        [flag] = detect_trends(series(0.01, 0.01, 0.01, 0.02), specs)
+        assert flag.direction == LOWER_BETTER
+        assert flag.limit == pytest.approx(0.011)
+
+    def test_zero_ber_baseline_uses_the_absolute_slack(self):
+        # A clean link's BER baseline is 0: only ``atol`` (0.002)
+        # separates noise from a regression.
+        history = [record(ber=0.0) for _ in range(4)]
+        assert detect_trends(history + [record(ber=0.0015)]) == []
+        flags = detect_trends(history + [record(ber=0.003)])
+        assert [f.metric for f in flags] == ["ber"]
+        assert flags[0].limit == pytest.approx(0.002)
+
+    def test_zero_baseline_without_atol_flags_any_rise(self):
+        specs = spec(LOWER_BETTER, rtol=0.10)
+        [flag] = detect_trends(series(0.0, 0.0, 0.0, 0.001), specs)
+        assert flag.ewma == 0.0
+
+    def test_metrics_missing_from_latest_or_specs_are_skipped(self):
+        history = [record(ber=0.02) for _ in range(4)]
+        latest = record(metrics={"throughput_bps": 180.0, "other": 1e9})
+        assert detect_trends(history + [latest]) == []
+
+    def test_baseline_is_an_ewma_over_the_window(self):
+        # alpha 0.3 over (0.02, 0.02, 0.02, 0.10): the newest baseline
+        # point weighs 0.3, so the EWMA is 0.044 (a plain mean: 0.04).
+        [flag] = detect_trends(series(0.02, 0.02, 0.02, 0.10, 0.08),
+                               spec(LOWER_BETTER, rtol=0.25))
+        assert flag.ewma == pytest.approx(0.044)
+        assert flag.window == 4
+        assert flag.limit == pytest.approx(0.055)
