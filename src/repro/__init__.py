@@ -27,29 +27,12 @@ Quickstart::
 
 __version__ = "1.0.0"
 
-from repro.errors import (
-    ConfigurationError,
-    CrcError,
-    DecodeError,
-    EnergyError,
-    FrameError,
-    MediumReservationError,
-    PreambleNotFound,
-    ReproError,
-    SimulationError,
-    TraceFormatError,
-)
+from repro._lazy import attach
 
-__all__ = [
-    "ConfigurationError",
-    "CrcError",
-    "DecodeError",
-    "EnergyError",
-    "FrameError",
-    "MediumReservationError",
-    "PreambleNotFound",
-    "ReproError",
-    "SimulationError",
-    "TraceFormatError",
-    "__version__",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "repro.errors": [
+        "ConfigurationError", "CrcError", "DecodeError", "EnergyError",
+        "FrameError", "MediumReservationError", "PreambleNotFound",
+        "ReproError", "SimulationError", "TraceFormatError",
+    ],
+}, eager=["__version__"])

@@ -1,53 +1,22 @@
 """Analytic models, sweeps, and report rendering."""
 
-from repro.analysis.ber import (
-    CorrelationRangeModel,
-    DownlinkDetectionModel,
-    majority_vote_ber,
-    measurement_error_probability,
-    q_function,
-    q_inverse,
-    uplink_ber,
-)
-from repro.analysis.report import (
-    format_table,
-    log_sparkline,
-    paper_vs_measured,
-    render_series,
-)
-from repro.analysis.sweep import (
-    SweepPoint,
-    SweepResult,
-    crossover_x,
-    monotone_fraction,
-    sweep,
-)
-from repro.analysis.throughput import (
-    DcfTiming,
-    saturation_throughput_bps,
-    single_station_throughput_bps,
-    transmission_probability,
-)
+from repro._lazy import attach
 
-__all__ = [
-    "CorrelationRangeModel",
-    "DcfTiming",
-    "DownlinkDetectionModel",
-    "SweepPoint",
-    "SweepResult",
-    "crossover_x",
-    "format_table",
-    "log_sparkline",
-    "majority_vote_ber",
-    "measurement_error_probability",
-    "monotone_fraction",
-    "paper_vs_measured",
-    "q_function",
-    "q_inverse",
-    "render_series",
-    "saturation_throughput_bps",
-    "single_station_throughput_bps",
-    "sweep",
-    "transmission_probability",
-    "uplink_ber",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "repro.analysis.ber": [
+        "CorrelationRangeModel", "DownlinkDetectionModel", "majority_vote_ber",
+        "measurement_error_probability", "q_function", "q_inverse",
+        "uplink_ber",
+    ],
+    "repro.analysis.report": [
+        "format_table", "log_sparkline", "paper_vs_measured", "render_series",
+    ],
+    "repro.analysis.sweep": [
+        "SweepPoint", "SweepResult", "crossover_x", "monotone_fraction",
+        "sweep",
+    ],
+    "repro.analysis.throughput": [
+        "DcfTiming", "saturation_throughput_bps",
+        "single_station_throughput_bps", "transmission_probability",
+    ],
+})

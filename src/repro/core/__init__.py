@@ -13,101 +13,46 @@ protocol (:mod:`~repro.core.protocol`), and multi-tag inventory
 (:mod:`~repro.core.inventory`).
 """
 
-from repro.core.ack import AckDetector, AckResult, ack_slot_start
-from repro.core.barker import barker_bits, barker_code
-from repro.core.coding import OrthogonalCodePair, correlation_gain_db, make_code_pair
-from repro.core.combining import CombinerWeights, combine, make_weights
-from repro.core.conditioning import ConditionedMeasurements, condition
-from repro.core.correlation_decoder import CorrelationDecodeResult, CorrelationDecoder
-from repro.core.downlink_decoder import (
-    DownlinkDecoder,
-    IntervalPreambleMatcher,
-    PreambleMatch,
-)
-from repro.core.downlink_encoder import (
-    BIT_DURATION_5KBPS_S,
-    BIT_DURATION_10KBPS_S,
-    BIT_DURATION_20KBPS_S,
-    DownlinkEncoder,
-    bit_duration_for_rate,
-)
-from repro.core.fragmentation import Reassembler, fragment_payload, parse_fragment
-from repro.core.frames import DownlinkMessage, UplinkFrame, crc8, crc16
-from repro.core.inventory import InventoryResult, InventoryTag, SlottedAlohaInventory
-from repro.core.protocol import (
-    Query,
-    TransactionResult,
-    WiFiBackscatterReader,
-    decode_query,
-    encode_query,
-)
-from repro.core.rate_adaptation import RatePlan, UplinkRatePlanner
-from repro.core.slicer import (
-    HysteresisThresholds,
-    compute_thresholds,
-    hysteresis_slice,
-    majority_vote_bits,
-)
-from repro.core.subchannel import (
-    PreambleDetection,
-    detect_preamble,
-    select_good_subchannels,
-)
-from repro.core.uplink_decoder import (
-    UplinkDecodeResult,
-    UplinkDecoder,
-    UplinkDecoderConfig,
-)
+from repro._lazy import attach
 
-__all__ = [
-    "AckDetector",
-    "AckResult",
-    "BIT_DURATION_10KBPS_S",
-    "BIT_DURATION_20KBPS_S",
-    "BIT_DURATION_5KBPS_S",
-    "CombinerWeights",
-    "ConditionedMeasurements",
-    "CorrelationDecodeResult",
-    "CorrelationDecoder",
-    "DownlinkDecoder",
-    "DownlinkEncoder",
-    "DownlinkMessage",
-    "HysteresisThresholds",
-    "IntervalPreambleMatcher",
-    "InventoryResult",
-    "InventoryTag",
-    "OrthogonalCodePair",
-    "PreambleDetection",
-    "PreambleMatch",
-    "Query",
-    "Reassembler",
-    "RatePlan",
-    "SlottedAlohaInventory",
-    "TransactionResult",
-    "UplinkDecodeResult",
-    "UplinkDecoder",
-    "UplinkDecoderConfig",
-    "UplinkFrame",
-    "UplinkRatePlanner",
-    "WiFiBackscatterReader",
-    "ack_slot_start",
-    "barker_bits",
-    "barker_code",
-    "bit_duration_for_rate",
-    "combine",
-    "compute_thresholds",
-    "condition",
-    "correlation_gain_db",
-    "crc16",
-    "crc8",
-    "decode_query",
-    "detect_preamble",
-    "encode_query",
-    "fragment_payload",
-    "hysteresis_slice",
-    "majority_vote_bits",
-    "make_code_pair",
-    "make_weights",
-    "parse_fragment",
-    "select_good_subchannels",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "repro.core.ack": ["AckDetector", "AckResult", "ack_slot_start"],
+    "repro.core.barker": ["barker_bits", "barker_code"],
+    "repro.core.coding": [
+        "OrthogonalCodePair", "correlation_gain_db", "make_code_pair",
+    ],
+    "repro.core.combining": ["CombinerWeights", "combine", "make_weights"],
+    "repro.core.conditioning": ["ConditionedMeasurements", "condition"],
+    "repro.core.correlation_decoder": [
+        "CorrelationDecodeResult", "CorrelationDecoder",
+    ],
+    "repro.core.downlink_decoder": [
+        "DownlinkDecoder", "IntervalPreambleMatcher", "PreambleMatch",
+    ],
+    "repro.core.downlink_encoder": [
+        "BIT_DURATION_5KBPS_S", "BIT_DURATION_10KBPS_S",
+        "BIT_DURATION_20KBPS_S", "DownlinkEncoder", "bit_duration_for_rate",
+    ],
+    "repro.core.fragmentation": [
+        "Reassembler", "fragment_payload", "parse_fragment",
+    ],
+    "repro.core.frames": ["DownlinkMessage", "UplinkFrame", "crc8", "crc16"],
+    "repro.core.inventory": [
+        "InventoryResult", "InventoryTag", "SlottedAlohaInventory",
+    ],
+    "repro.core.protocol": [
+        "Query", "TransactionResult", "WiFiBackscatterReader", "decode_query",
+        "encode_query",
+    ],
+    "repro.core.rate_adaptation": ["RatePlan", "UplinkRatePlanner"],
+    "repro.core.slicer": [
+        "HysteresisThresholds", "compute_thresholds", "hysteresis_slice",
+        "majority_vote_bits",
+    ],
+    "repro.core.subchannel": [
+        "PreambleDetection", "detect_preamble", "select_good_subchannels",
+    ],
+    "repro.core.uplink_decoder": [
+        "UplinkDecodeResult", "UplinkDecoder", "UplinkDecoderConfig",
+    ],
+})

@@ -10,38 +10,16 @@ See :mod:`repro.faults.base` for the framework contract,
     run_uplink_ber(0.4, 10, seed=7, faults=plan)
 """
 
-from repro.faults.base import BurstState, FaultInjector, FaultPlan
-from repro.faults.injectors import (
-    AgcJump,
-    CsiDropout,
-    HelperOutage,
-    InterferenceBurst,
-    NanCorruption,
-    ReaderClockDrift,
-    TagBrownout,
-    WorkerCrash,
-    WorkerStall,
-)
-from repro.faults.spec import (
-    INJECTOR_TYPES,
-    format_fault_plan,
-    parse_fault_spec,
-)
+from repro._lazy import attach
 
-__all__ = [
-    "AgcJump",
-    "BurstState",
-    "CsiDropout",
-    "FaultInjector",
-    "FaultPlan",
-    "HelperOutage",
-    "INJECTOR_TYPES",
-    "InterferenceBurst",
-    "NanCorruption",
-    "ReaderClockDrift",
-    "TagBrownout",
-    "WorkerCrash",
-    "WorkerStall",
-    "format_fault_plan",
-    "parse_fault_spec",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "repro.faults.base": ["BurstState", "FaultInjector", "FaultPlan"],
+    "repro.faults.injectors": [
+        "AgcJump", "CsiDropout", "HelperOutage", "InterferenceBurst",
+        "NanCorruption", "ReaderClockDrift", "TagBrownout", "WorkerCrash",
+        "WorkerStall",
+    ],
+    "repro.faults.spec": [
+        "INJECTOR_TYPES", "format_fault_plan", "parse_fault_spec",
+    ],
+})

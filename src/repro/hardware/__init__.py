@@ -6,24 +6,14 @@ a weak antenna; coarse 1 dB RSSI on everything else; and device
 capability profiles.
 """
 
-from repro.hardware.agc import AgcModel
-from repro.hardware.devices import (
-    INTEL_5300,
-    LINKSYS_WRT54GL,
-    THINKPAD_LAPTOP,
-    DeviceProfile,
-    reader_capabilities,
-)
-from repro.hardware.intel5300 import Intel5300
-from repro.hardware.rssi import RssiModel
+from repro._lazy import attach
 
-__all__ = [
-    "AgcModel",
-    "DeviceProfile",
-    "INTEL_5300",
-    "Intel5300",
-    "LINKSYS_WRT54GL",
-    "RssiModel",
-    "THINKPAD_LAPTOP",
-    "reader_capabilities",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "repro.hardware.agc": ["AgcModel"],
+    "repro.hardware.devices": [
+        "INTEL_5300", "LINKSYS_WRT54GL", "THINKPAD_LAPTOP", "DeviceProfile",
+        "reader_capabilities",
+    ],
+    "repro.hardware.intel5300": ["Intel5300"],
+    "repro.hardware.rssi": ["RssiModel"],
+})

@@ -7,53 +7,23 @@ monitor-mode capture that turns each heard packet into a CSI/RSSI
 measurement at the reader.
 """
 
-from repro.mac.beacons import BeaconNetwork, build_beacon_network
-from repro.mac.capture import MonitorCapture, idle_tag
-from repro.mac.cts_to_self import ReservationPlan, cts_to_self_frame, plan_reservations
-from repro.mac.dcf import DcfAccess, DcfStats, LinkQualityModel, Medium
-from repro.mac.packets import FrameKind, Transmission, WifiFrame
-from repro.mac.rate_control import (
-    RateController,
-    SnrLinkQualityModel,
-    snr_from_distance,
-)
-from repro.mac.simulator import EventHandle, EventScheduler
-from repro.mac.station import AccessPoint, Station
-from repro.mac.traffic import (
-    BurstyTraffic,
-    ConstantRateTraffic,
-    DiurnalOfficeLoad,
-    PoissonTraffic,
-    SaturatedTraffic,
-    office_load_pps,
-)
+from repro._lazy import attach
 
-__all__ = [
-    "AccessPoint",
-    "BeaconNetwork",
-    "BurstyTraffic",
-    "ConstantRateTraffic",
-    "DcfAccess",
-    "DcfStats",
-    "DiurnalOfficeLoad",
-    "EventHandle",
-    "EventScheduler",
-    "FrameKind",
-    "LinkQualityModel",
-    "Medium",
-    "MonitorCapture",
-    "PoissonTraffic",
-    "RateController",
-    "ReservationPlan",
-    "SaturatedTraffic",
-    "SnrLinkQualityModel",
-    "Station",
-    "Transmission",
-    "WifiFrame",
-    "build_beacon_network",
-    "cts_to_self_frame",
-    "idle_tag",
-    "office_load_pps",
-    "plan_reservations",
-    "snr_from_distance",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "repro.mac.beacons": ["BeaconNetwork", "build_beacon_network"],
+    "repro.mac.capture": ["MonitorCapture", "idle_tag"],
+    "repro.mac.cts_to_self": [
+        "ReservationPlan", "cts_to_self_frame", "plan_reservations",
+    ],
+    "repro.mac.dcf": ["DcfAccess", "DcfStats", "LinkQualityModel", "Medium"],
+    "repro.mac.packets": ["FrameKind", "Transmission", "WifiFrame"],
+    "repro.mac.rate_control": [
+        "RateController", "SnrLinkQualityModel", "snr_from_distance",
+    ],
+    "repro.mac.simulator": ["EventHandle", "EventScheduler"],
+    "repro.mac.station": ["AccessPoint", "Station"],
+    "repro.mac.traffic": [
+        "BurstyTraffic", "ConstantRateTraffic", "DiurnalOfficeLoad",
+        "PoissonTraffic", "SaturatedTraffic", "office_load_pps",
+    ],
+})

@@ -1,9 +1,7 @@
 """Application layer: bridging tags to the Internet via the reader."""
 
-from repro.net.gateway import (
-    BackscatterGateway,
-    SensorReading,
-    TagStatus,
-)
+from repro._lazy import attach
 
-__all__ = ["BackscatterGateway", "SensorReading", "TagStatus"]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "repro.net.gateway": ["BackscatterGateway", "SensorReading", "TagStatus"],
+})

@@ -33,71 +33,40 @@ Naming conventions and the manifest schema are documented in
 ``docs/observability.md``.
 """
 
-from __future__ import annotations
-
+from repro._lazy import attach
 from repro.obs import state
-from repro.obs.export import (
-    dumps,
-    dumps_line,
-    escape_measurement,
-    escape_tag,
-    jsonable,
-    loads_line,
-    parse_line_protocol,
-    read_json,
-    telemetry_to_line_protocol,
-    telemetry_to_prometheus,
-    write_json,
-)
-from repro.obs.fleet import (
-    FleetAggregator,
-    QuantileSketch,
-    SpaceSavingSketch,
-    TagHealthRegistry,
-)
-from repro.obs.manifest import (
-    RunManifest,
-    build_manifest,
-    git_sha,
-    load_manifest,
-    record_run,
-)
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    MetricsRegistry,
-    NULL_METRIC,
-)
-from repro.obs.perf import (
-    AlertEvent,
-    BudgetObjective,
-    BurnRateAlert,
-    BurnRateEngine,
-    ExemplarReservoir,
-    SloEngine,
-    SloRule,
-    TimeSeries,
-    add_ops,
-    profile,
-)
-from repro.obs.state import (
-    configure,
-    disable,
-    enable,
-    enabled,
-    get_profiler,
-    get_recorder,
-    get_registry,
-    get_tracer,
-    manifest_dir,
-    metrics_enabled,
-    profiling_enabled,
-    recording_enabled,
-    reset,
-    session,
-    tracing_enabled,
-)
-from repro.obs.tracing import Span, Tracer, current_span, span
+from repro.obs.metrics import NULL_METRIC
+
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "repro.obs.export": [
+        "dumps", "dumps_line", "escape_measurement", "escape_tag", "jsonable",
+        "loads_line", "parse_line_protocol", "read_json",
+        "telemetry_to_line_protocol", "telemetry_to_prometheus", "write_json",
+    ],
+    "repro.obs.fleet": [
+        "FleetAggregator", "QuantileSketch", "SpaceSavingSketch",
+        "TagHealthRegistry",
+    ],
+    "repro.obs.manifest": [
+        "RunManifest", "build_manifest", "git_sha", "load_manifest",
+        "record_run",
+    ],
+    "repro.obs.metrics": ["Counter", "Gauge", "MetricsRegistry"],
+    "repro.obs.perf": [
+        "AlertEvent", "BudgetObjective", "BurnRateAlert", "BurnRateEngine",
+        "ExemplarReservoir", "SloEngine", "SloRule", "TimeSeries", "add_ops",
+        "profile",
+    ],
+    "repro.obs.state": [
+        "configure", "disable", "enable", "enabled", "get_profiler",
+        "get_recorder", "get_registry", "get_tracer", "manifest_dir",
+        "metrics_enabled", "profiling_enabled", "recording_enabled", "reset",
+        "session", "tracing_enabled",
+    ],
+    "repro.obs.tracing": ["Span", "Tracer", "current_span", "span"],
+}, eager=[
+    "NULL_METRIC", "counter", "gauge", "histogram", "state", "timeseries",
+])
 
 
 def counter(name: str):
@@ -126,65 +95,3 @@ def timeseries(name: str, capacity=None):
     if state.metrics_enabled():
         return state.get_registry().timeseries(name, capacity=capacity)
     return NULL_METRIC
-
-
-__all__ = [
-    "AlertEvent",
-    "BudgetObjective",
-    "BurnRateAlert",
-    "BurnRateEngine",
-    "Counter",
-    "ExemplarReservoir",
-    "FleetAggregator",
-    "Gauge",
-    "MetricsRegistry",
-    "NULL_METRIC",
-    "QuantileSketch",
-    "RunManifest",
-    "SloEngine",
-    "SloRule",
-    "SpaceSavingSketch",
-    "Span",
-    "TagHealthRegistry",
-    "TimeSeries",
-    "Tracer",
-    "add_ops",
-    "build_manifest",
-    "configure",
-    "counter",
-    "current_span",
-    "disable",
-    "dumps",
-    "dumps_line",
-    "enable",
-    "enabled",
-    "escape_measurement",
-    "escape_tag",
-    "gauge",
-    "get_profiler",
-    "get_recorder",
-    "get_registry",
-    "get_tracer",
-    "git_sha",
-    "histogram",
-    "jsonable",
-    "load_manifest",
-    "loads_line",
-    "manifest_dir",
-    "metrics_enabled",
-    "parse_line_protocol",
-    "profile",
-    "profiling_enabled",
-    "read_json",
-    "record_run",
-    "recording_enabled",
-    "reset",
-    "session",
-    "span",
-    "state",
-    "telemetry_to_line_protocol",
-    "telemetry_to_prometheus",
-    "timeseries",
-    "tracing_enabled",
-    "write_json",
-]

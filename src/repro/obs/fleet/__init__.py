@@ -23,42 +23,20 @@ fleet-scale roadmap item builds on:
 See the "Fleet telemetry" section of ``docs/observability.md``.
 """
 
-from repro.obs.fleet.aggregate import (
-    FLEET_SCHEMA,
-    OFFENDER_KINDS,
-    FleetAggregator,
-)
-from repro.obs.fleet.health import (
-    HEALTH_BINS,
-    TagHealth,
-    TagHealthRegistry,
-)
-from repro.obs.fleet.report import (
-    render_fleet_artifact,
-    render_fleet_block,
-    render_offenders,
-)
-from repro.obs.fleet.sketch import (
-    DEFAULT_ALPHA,
-    DEFAULT_HH_CAPACITY,
-    DEFAULT_MAX_BUCKETS,
-    QuantileSketch,
-    SpaceSavingSketch,
-)
+from repro._lazy import attach
 
-__all__ = [
-    "DEFAULT_ALPHA",
-    "DEFAULT_HH_CAPACITY",
-    "DEFAULT_MAX_BUCKETS",
-    "FLEET_SCHEMA",
-    "FleetAggregator",
-    "HEALTH_BINS",
-    "OFFENDER_KINDS",
-    "QuantileSketch",
-    "SpaceSavingSketch",
-    "TagHealth",
-    "TagHealthRegistry",
-    "render_fleet_artifact",
-    "render_fleet_block",
-    "render_offenders",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "repro.obs.fleet.aggregate": [
+        "FLEET_SCHEMA", "OFFENDER_KINDS", "FleetAggregator",
+    ],
+    "repro.obs.fleet.health": [
+        "HEALTH_BINS", "TagHealth", "TagHealthRegistry",
+    ],
+    "repro.obs.fleet.report": [
+        "render_fleet_artifact", "render_fleet_block", "render_offenders",
+    ],
+    "repro.obs.fleet.sketch": [
+        "DEFAULT_ALPHA", "DEFAULT_HH_CAPACITY", "DEFAULT_MAX_BUCKETS",
+        "QuantileSketch", "SpaceSavingSketch",
+    ],
+})

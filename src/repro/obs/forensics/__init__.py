@@ -32,48 +32,22 @@ and merge into the parent recorder in task order, so ``workers=N``
 yields records identical to serial.
 """
 
-from __future__ import annotations
+from repro._lazy import attach
 
-from repro.obs.forensics.attribution import (
-    LABELS,
-    attribute_record,
-    summarize,
-)
-from repro.obs.forensics.crash_flush import (
-    disarm as disarm_crash_flush,
-    install_crash_flush,
-    register_aux_flush,
-    unregister_aux_flush,
-)
-from repro.obs.forensics.format import read_jsonl, write_jsonl, write_recorder
-from repro.obs.forensics.recorder import (
-    DEFAULT_CAPACITY,
-    POLICIES,
-    FlightRecorder,
-    begin,
-    commit,
-    ensure_record,
-    stage,
-)
-from repro.obs.forensics.report import render_forensics
-
-__all__ = [
-    "DEFAULT_CAPACITY",
-    "FlightRecorder",
-    "LABELS",
-    "POLICIES",
-    "attribute_record",
-    "begin",
-    "commit",
-    "disarm_crash_flush",
-    "ensure_record",
-    "install_crash_flush",
-    "read_jsonl",
-    "register_aux_flush",
-    "render_forensics",
-    "stage",
-    "summarize",
-    "unregister_aux_flush",
-    "write_jsonl",
-    "write_recorder",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "repro.obs.forensics.attribution": [
+        "LABELS", "attribute_record", "summarize",
+    ],
+    "repro.obs.forensics.crash_flush": [
+        "disarm as disarm_crash_flush", "install_crash_flush",
+        "register_aux_flush", "unregister_aux_flush",
+    ],
+    "repro.obs.forensics.format": [
+        "read_jsonl", "write_jsonl", "write_recorder",
+    ],
+    "repro.obs.forensics.recorder": [
+        "DEFAULT_CAPACITY", "POLICIES", "FlightRecorder", "begin", "commit",
+        "ensure_record", "stage",
+    ],
+    "repro.obs.forensics.report": ["render_forensics"],
+})

@@ -15,56 +15,22 @@ point-in-time instrumentation into an *operated* system:
 * :mod:`~repro.obs.perf.report` — profile and alert rendering.
 """
 
-from __future__ import annotations
+from repro._lazy import attach
 
-from repro.obs.perf.burnrate import (
-    BudgetObjective,
-    BurnRateAlert,
-    BurnRateEngine,
-    BurnWindow,
-    derive_windows,
-)
-from repro.obs.perf.profiler import (
-    NULL_PROFILE_CONTEXT,
-    Profiler,
-    StageStats,
-    add_ops,
-    profile,
-)
-from repro.obs.perf.slo import (
-    AlertEvent,
-    SloEngine,
-    SloRule,
-    parse_slo_rule,
-    parse_slo_spec,
-    resolve_metric_value,
-)
-from repro.obs.perf.timeseries import (
-    DEFAULT_CAPACITY,
-    DEFAULT_EXEMPLAR_BOUNDS,
-    ExemplarReservoir,
-    TimeSeries,
-)
-
-__all__ = [
-    "AlertEvent",
-    "BudgetObjective",
-    "BurnRateAlert",
-    "BurnRateEngine",
-    "BurnWindow",
-    "DEFAULT_CAPACITY",
-    "DEFAULT_EXEMPLAR_BOUNDS",
-    "ExemplarReservoir",
-    "NULL_PROFILE_CONTEXT",
-    "Profiler",
-    "SloEngine",
-    "SloRule",
-    "StageStats",
-    "TimeSeries",
-    "add_ops",
-    "derive_windows",
-    "parse_slo_rule",
-    "parse_slo_spec",
-    "profile",
-    "resolve_metric_value",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "repro.obs.perf.burnrate": [
+        "BudgetObjective", "BurnRateAlert", "BurnRateEngine", "BurnWindow",
+        "derive_windows",
+    ],
+    "repro.obs.perf.profiler": [
+        "NULL_PROFILE_CONTEXT", "Profiler", "StageStats", "add_ops", "profile",
+    ],
+    "repro.obs.perf.slo": [
+        "AlertEvent", "SloEngine", "SloRule", "parse_slo_rule",
+        "parse_slo_spec", "resolve_metric_value",
+    ],
+    "repro.obs.perf.timeseries": [
+        "DEFAULT_CAPACITY", "DEFAULT_EXEMPLAR_BOUNDS", "ExemplarReservoir",
+        "TimeSeries",
+    ],
+})

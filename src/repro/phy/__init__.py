@@ -10,28 +10,19 @@ waveforms for the downlink circuit simulation
 (:mod:`~repro.phy.envelope`).
 """
 
-from repro.phy.backscatter_channel import BackscatterChannel, LinkGeometry
-from repro.phy.envelope import AirInterval, EnvelopeSynthesizer, intervals_from_bits
-from repro.phy.fading import MultipathChannel, TapDelayProfile, TemporalDrift
-from repro.phy.noise import AwgnSource, SpuriousGlitchModel, quantize
-from repro.phy.ofdm import OfdmEnvelopeModel, OfdmPacket, airtime_for_duration
-from repro.phy.pathloss import LogDistancePathLoss, friis_path_gain
+from repro._lazy import attach
 
-__all__ = [
-    "AirInterval",
-    "AwgnSource",
-    "BackscatterChannel",
-    "EnvelopeSynthesizer",
-    "LinkGeometry",
-    "LogDistancePathLoss",
-    "MultipathChannel",
-    "OfdmEnvelopeModel",
-    "OfdmPacket",
-    "SpuriousGlitchModel",
-    "TapDelayProfile",
-    "TemporalDrift",
-    "airtime_for_duration",
-    "friis_path_gain",
-    "intervals_from_bits",
-    "quantize",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "repro.phy.backscatter_channel": ["BackscatterChannel", "LinkGeometry"],
+    "repro.phy.envelope": [
+        "AirInterval", "EnvelopeSynthesizer", "intervals_from_bits",
+    ],
+    "repro.phy.fading": [
+        "MultipathChannel", "TapDelayProfile", "TemporalDrift",
+    ],
+    "repro.phy.noise": ["AwgnSource", "SpuriousGlitchModel", "quantize"],
+    "repro.phy.ofdm": [
+        "OfdmEnvelopeModel", "OfdmPacket", "airtime_for_duration",
+    ],
+    "repro.phy.pathloss": ["LogDistancePathLoss", "friis_path_gain"],
+})

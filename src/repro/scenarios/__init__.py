@@ -7,45 +7,17 @@ serialized, enumerated (``repro scenarios``), and executed through the
 parallel simulation engine (``repro soak``).
 """
 
-from repro.scenarios.corpus import builtin_scenarios
-from repro.scenarios.registry import ScenarioRegistry, builtin_registry
-from repro.scenarios.runner import (
-    EnvelopeVerdict,
-    ScenarioResult,
-    run_scenario,
-)
-from repro.scenarios.schema import (
-    CHANNEL_MODES,
-    SCHEMA_VERSION,
-    TRAFFIC_REGIMES,
-    Channel,
-    Envelope,
-    Geometry,
-    Mobility,
-    Scenario,
-    Serve,
-    Traffic,
-    TrialConfig,
-    scenarios_from_json,
-)
+from repro._lazy import attach
 
-__all__ = [
-    "CHANNEL_MODES",
-    "SCHEMA_VERSION",
-    "TRAFFIC_REGIMES",
-    "Channel",
-    "Envelope",
-    "EnvelopeVerdict",
-    "Geometry",
-    "Mobility",
-    "Scenario",
-    "ScenarioRegistry",
-    "ScenarioResult",
-    "Serve",
-    "Traffic",
-    "TrialConfig",
-    "builtin_registry",
-    "builtin_scenarios",
-    "run_scenario",
-    "scenarios_from_json",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "repro.scenarios.corpus": ["builtin_scenarios"],
+    "repro.scenarios.registry": ["ScenarioRegistry", "builtin_registry"],
+    "repro.scenarios.runner": [
+        "EnvelopeVerdict", "ScenarioResult", "run_scenario",
+    ],
+    "repro.scenarios.schema": [
+        "CHANNEL_MODES", "SCHEMA_VERSION", "TRAFFIC_REGIMES", "Channel",
+        "Envelope", "Geometry", "Mobility", "Scenario", "Serve", "Traffic",
+        "TrialConfig", "scenarios_from_json",
+    ],
+})

@@ -28,52 +28,24 @@ seed, so ``workers=0`` and ``workers=2`` deliver identical payload
 sets and the whole overload story is replayable.
 """
 
-from repro.serve.arrivals import ARRIVAL_PROFILES, generate_arrivals
-from repro.serve.breaker import TagBreaker
-from repro.serve.deadline import DeadlineBudget
-from repro.serve.decode import ServeBatchTask, ServeDecodeTask, decode_batch_task
-from repro.serve.gateway import ServeConfig, ServeResult, StreamingDecodeGateway, run_serve
-from repro.serve.lifecycle import LifecycleTracker
-from repro.serve.queues import BoundedPriorityQueue, ShedEvent
-from repro.serve.report import ServeReport, render_serve_text
-from repro.serve.request import (
-    PRIORITIES,
-    SHED_REASONS,
-    SPAN_REQUEST,
-    STATUSES,
-    TERMINAL_SPANS,
-    DecodeRequest,
-    ServeOutcome,
-)
-from repro.serve.telemetry import (
-    TelemetrySnapshotter,
-    read_telemetry,
-)
+from repro._lazy import attach
 
-__all__ = [
-    "ARRIVAL_PROFILES",
-    "BoundedPriorityQueue",
-    "DeadlineBudget",
-    "DecodeRequest",
-    "LifecycleTracker",
-    "PRIORITIES",
-    "SHED_REASONS",
-    "SPAN_REQUEST",
-    "STATUSES",
-    "ServeBatchTask",
-    "ServeConfig",
-    "ServeDecodeTask",
-    "ServeOutcome",
-    "ServeReport",
-    "ServeResult",
-    "ShedEvent",
-    "StreamingDecodeGateway",
-    "TERMINAL_SPANS",
-    "TagBreaker",
-    "TelemetrySnapshotter",
-    "decode_batch_task",
-    "generate_arrivals",
-    "read_telemetry",
-    "render_serve_text",
-    "run_serve",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "repro.serve.arrivals": ["ARRIVAL_PROFILES", "generate_arrivals"],
+    "repro.serve.breaker": ["TagBreaker"],
+    "repro.serve.deadline": ["DeadlineBudget"],
+    "repro.serve.decode": [
+        "ServeBatchTask", "ServeDecodeTask", "decode_batch_task",
+    ],
+    "repro.serve.gateway": [
+        "ServeConfig", "ServeResult", "StreamingDecodeGateway", "run_serve",
+    ],
+    "repro.serve.lifecycle": ["LifecycleTracker"],
+    "repro.serve.queues": ["BoundedPriorityQueue", "ShedEvent"],
+    "repro.serve.report": ["ServeReport", "render_serve_text"],
+    "repro.serve.request": [
+        "PRIORITIES", "SHED_REASONS", "SPAN_REQUEST", "STATUSES",
+        "TERMINAL_SPANS", "DecodeRequest", "ServeOutcome",
+    ],
+    "repro.serve.telemetry": ["TelemetrySnapshotter", "read_telemetry"],
+})

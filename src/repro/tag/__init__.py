@@ -7,41 +7,20 @@ power-state machine, and the RF energy harvester that makes the whole
 device battery-free.
 """
 
-from repro.tag.antenna import PatchArrayAntenna
-from repro.tag.harvester import (
-    EnergyHarvester,
-    MCU_ACTIVE_POWER_W,
-    MCU_SLEEP_POWER_W,
-    RECEIVER_POWER_W,
-    TRANSMIT_POWER_W,
-    power_budget_summary,
-    rectifier_efficiency,
-    tv_power_density_w_m2,
-    wifi_power_density_w_m2,
-)
-from repro.tag.mcu import McuEnergyLedger, McuMode, McuPowerProfile
-from repro.tag.modulator import TagModulator, alternating_bits, random_payload
-from repro.tag.receiver_circuit import CIRCUIT_POWER_W, ReceiverCircuit
-from repro.tag.tag import WiFiBackscatterTag
+from repro._lazy import attach
 
-__all__ = [
-    "CIRCUIT_POWER_W",
-    "EnergyHarvester",
-    "MCU_ACTIVE_POWER_W",
-    "MCU_SLEEP_POWER_W",
-    "McuEnergyLedger",
-    "McuMode",
-    "McuPowerProfile",
-    "PatchArrayAntenna",
-    "RECEIVER_POWER_W",
-    "ReceiverCircuit",
-    "TRANSMIT_POWER_W",
-    "TagModulator",
-    "WiFiBackscatterTag",
-    "alternating_bits",
-    "power_budget_summary",
-    "random_payload",
-    "rectifier_efficiency",
-    "tv_power_density_w_m2",
-    "wifi_power_density_w_m2",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "repro.tag.antenna": ["PatchArrayAntenna"],
+    "repro.tag.harvester": [
+        "EnergyHarvester", "MCU_ACTIVE_POWER_W", "MCU_SLEEP_POWER_W",
+        "RECEIVER_POWER_W", "TRANSMIT_POWER_W", "power_budget_summary",
+        "rectifier_efficiency", "tv_power_density_w_m2",
+        "wifi_power_density_w_m2",
+    ],
+    "repro.tag.mcu": ["McuEnergyLedger", "McuMode", "McuPowerProfile"],
+    "repro.tag.modulator": [
+        "TagModulator", "alternating_bits", "random_payload",
+    ],
+    "repro.tag.receiver_circuit": ["CIRCUIT_POWER_W", "ReceiverCircuit"],
+    "repro.tag.tag": ["WiFiBackscatterTag"],
+})

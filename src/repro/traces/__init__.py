@@ -1,19 +1,11 @@
 """Trace generation and persistence."""
 
-from repro.traces.format import FORMAT_VERSION, load_stream, save_stream
-from repro.traces.synthetic import (
-    TrafficSample,
-    hours_range,
-    office_traffic_sample,
-    sample_to_intervals,
-)
+from repro._lazy import attach
 
-__all__ = [
-    "FORMAT_VERSION",
-    "TrafficSample",
-    "hours_range",
-    "load_stream",
-    "office_traffic_sample",
-    "sample_to_intervals",
-    "save_stream",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "repro.traces.format": ["FORMAT_VERSION", "load_stream", "save_stream"],
+    "repro.traces.synthetic": [
+        "TrafficSample", "hours_range", "office_traffic_sample",
+        "sample_to_intervals",
+    ],
+})
