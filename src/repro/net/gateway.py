@@ -22,14 +22,10 @@ from repro.core.inventory import InventoryTag, SlottedAlohaInventory
 from repro.core.protocol import CMD_READ_SENSOR, WiFiBackscatterReader
 from repro.errors import ConfigurationError, ReproError
 from repro.obs.perf.slo import AlertEvent, SloEngine
+from repro.serve.breaker import BREAKER_CLOSED, BREAKER_HALF_OPEN, BREAKER_OPEN
 
 #: Sink for readings headed upstream ("the Internet").
 PublishFn = Callable[["SensorReading"], None]
-
-#: Circuit-breaker states (per tag).
-BREAKER_CLOSED = "closed"        # healthy: poll every cycle
-BREAKER_OPEN = "open"            # quarantined: skip polls until expiry
-BREAKER_HALF_OPEN = "half_open"  # quarantine expired: one probe poll
 
 
 @dataclass(frozen=True)

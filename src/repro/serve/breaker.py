@@ -16,11 +16,11 @@ from typing import Dict, List
 
 from repro import obs
 from repro.errors import ConfigurationError
-from repro.net.gateway import (
-    BREAKER_CLOSED,
-    BREAKER_HALF_OPEN,
-    BREAKER_OPEN,
-)
+
+#: Per-tag circuit-breaker states, shared with :mod:`repro.net.gateway`.
+BREAKER_CLOSED = "closed"        # healthy: admit every poll / request
+BREAKER_OPEN = "open"            # quarantined: skip until expiry
+BREAKER_HALF_OPEN = "half_open"  # quarantine expired: one probe
 
 
 @dataclass

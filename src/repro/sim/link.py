@@ -17,7 +17,7 @@ experiments do, and are what the benchmark harness calls:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -26,21 +26,20 @@ from repro.obs import forensics
 from repro.analysis.ber import DownlinkDetectionModel
 from repro.core.barker import barker_bits
 from repro.core.coding import make_code_pair
-from repro.core.correlation_decoder import CorrelationDecoder
-from repro.core.downlink_encoder import DownlinkEncoder
 from repro.core.frames import DownlinkMessage, UplinkFrame, crc8, int_to_bits
 from repro.core.protocol import BackoffPolicy, DownlinkTransport, UplinkTransport
 from repro.core.uplink_decoder import UplinkDecoder
 from repro.errors import BrownoutError, ConfigurationError, DecodeError, ReproError
 from repro.faults.base import FaultPlan
-from repro.phy.envelope import EnvelopeSynthesizer
 from repro.sim import calibration, engine
 from repro.sim.calibration import CalibratedParameters, DEFAULTS
 from repro.measurement import MeasurementStream, merge_streams
 from repro.sim.metrics import BerResult, bit_errors
 from repro.sim.seeding import DEFAULT_SEED, resolve_rng
 from repro.tag.modulator import TagModulator, random_payload
-from repro.tag.receiver_circuit import ReceiverCircuit
+
+if TYPE_CHECKING:
+    from repro.tag.receiver_circuit import ReceiverCircuit
 
 #: Lead-in/lead-out idle time around a transmission so the conditioning
 #: moving average has context at the frame edges.
@@ -691,6 +690,8 @@ def _run_correlation_trial_body(task: _CorrelationTrialTask) -> UplinkTrial:
 def _correlation_trial_inner(
     task: _CorrelationTrialTask, rng: np.random.Generator
 ) -> UplinkTrial:
+    from repro.core.correlation_decoder import CorrelationDecoder
+
     with obs.span(
         "correlation.trial",
         distance_m=task.tag_to_reader_m,
@@ -1081,6 +1082,11 @@ def run_downlink_circuit_trial(
         ``(sent_bits, received_bits)`` over the full message (preamble
         + payload + CRC).
     """
+    from repro.core.downlink_decoder import sample_mid_bits
+    from repro.core.downlink_encoder import DownlinkEncoder
+    from repro.phy.envelope import EnvelopeSynthesizer
+    from repro.tag.receiver_circuit import ReceiverCircuit
+
     rng, _ = resolve_rng(rng)
     payload = random_payload(num_payload_bits, rng)
     message = DownlinkMessage(payload_bits=tuple(payload))
@@ -1092,8 +1098,6 @@ def run_downlink_circuit_trial(
     times, power = synth.render(intervals, total)
     circuit = circuit or ReceiverCircuit(rng=rng)
     _, _, comparator = circuit.process(power, synth.sample_interval_s)
-    from repro.core.downlink_decoder import sample_mid_bits
-
     sent = message.to_bits()
     received = sample_mid_bits(
         comparator, times, lead_in, bit_duration_s, len(sent)
@@ -1334,6 +1338,8 @@ def _arq_run_one_frame(
             degrade_after is not None and attempt >= degrade_after
         )
         if use_correlation:
+            from repro.core.correlation_decoder import CorrelationDecoder
+
             degraded = True
             mode_used = "correlation"
             chips = pair.encode(check_bits)
