@@ -332,6 +332,14 @@ def summarize(records: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
             by_label[entry["label"]] = by_label.get(entry["label"], 0) + 1
             if entry["margin"] is not None:
                 margins.append(entry["margin"])
+        errors = int(record.get("errors", 0) or 0)
+        if not verdict["bits"] and errors:
+            # An aborted decode or an analytic downlink chunk counts its
+            # errors without per-bit entries: charge them to the frame.
+            total_error_bits += errors
+            by_label[verdict["label"]] = (
+                by_label.get(verdict["label"], 0) + errors
+            )
         worst.append(
             {
                 "run_id": record.get("run_id", ""),

@@ -10,13 +10,14 @@ document.  Each rendering must equal that kind's own renderer.
 import contextlib
 import io
 import json
+import re
 import shutil
 from pathlib import Path
 
 import pytest
 
 from repro import obs
-from repro.cli import EXIT_CONFIG_ERROR, EXIT_OK, main
+from repro.cli import EXIT_CONFIG_ERROR, EXIT_DECODE_FAILURE, EXIT_OK, main
 from repro.obs.fleet.report import render_fleet_artifact, render_fleet_block
 from repro.obs.forensics import crash_flush, read_jsonl, summarize
 from repro.obs.forensics.report import render_forensics
@@ -211,3 +212,20 @@ def test_record_on_the_input_leaves_it_untouched(
     assert code == EXIT_OK
     assert path.read_bytes() == before
     assert not crash_flush.armed()
+
+
+def test_aborted_decode_reports_its_error_bits(tmp_path, capsys):
+    # A starved decode aborts before slicing: its one record counts 90
+    # errors without per-bit entries, and the report charges them all
+    # to the frame's root cause.
+    path = str(tmp_path / "rec.jsonl")
+    code = main([
+        "uplink-ber", "--distance", "0.3", "--pkts-per-bit", "0.1",
+        "--repeats", "1", "--record", path,
+    ])
+    assert code == EXIT_DECODE_FAILURE
+    capsys.readouterr()
+    assert main(["obs-report", path]) == EXIT_OK
+    text = capsys.readouterr().out
+    assert re.search(r"^error bits +90 *$", text, re.M), text
+    assert re.search(r"^unknown +90 +1 +100\.0% *$", text, re.M), text

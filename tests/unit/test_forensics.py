@@ -287,6 +287,39 @@ class TestAttribution:
         assert math.isclose(sum(summary["error_budget"].values()), 1.0)
         assert summary["worst"][0]["errors"] == 2
 
+    def test_summarize_counts_errors_of_frames_without_bit_entries(self):
+        # An aborted decode and an analytic downlink chunk count their
+        # errors but record no bit indices; the frame's label takes them.
+        aborted = {"kind": "uplink", "errors": 90, "error_bits": [],
+                   "failure": "DecodeError", "stages": {}}
+        chunk = {"kind": "downlink_model", "errors": 10, "error_bits": [],
+                 "failure": None,
+                 "stages": {"downlink_model": {"brownout_misses": 0}}}
+        sliced = {"kind": "uplink", "errors": 1, "error_bits": [0],
+                  "failure": None,
+                  "stages": {"slice": {"support": [5],
+                                       "bit_margins": [0.001]}}}
+        summary = summarize([aborted, chunk, sliced])
+        assert summary["total_error_bits"] == 101
+        assert summary["by_label"] == {
+            "detector_noise": 10, "low_margin_slice": 1, "unknown": 90,
+        }
+        assert summary["frames_by_label"] == {
+            "detector_noise": 1, "low_margin_slice": 1, "unknown": 1,
+        }
+        assert summary["error_budget"]["unknown"] == pytest.approx(90 / 101)
+        assert math.isclose(sum(summary["error_budget"].values()), 1.0)
+
+    def test_summarize_aborted_decode_alone(self):
+        summary = summarize([
+            {"kind": "uplink", "errors": 90, "error_bits": [],
+             "failure": "DecodeError", "stages": {}},
+        ])
+        assert summary["total_error_bits"] == 90
+        assert summary["by_label"] == {"unknown": 90}
+        assert summary["error_budget"] == {"unknown": 1.0}
+        assert summary["frames_by_label"] == {"unknown": 1}
+
 
 class TestJsonlFormat:
     def test_round_trip(self, tmp_path):
