@@ -27,8 +27,8 @@ and a fault-injection spec (see :mod:`repro.faults`)::
 
 performance telemetry flags::
 
-    --profile              enable the stage profiler and print the
-                           perf report (self vs. cumulative time)
+    --profile              print the per-stage time table (self vs.
+                           cumulative time of every span)
     --slo SPEC             declarative SLO rules checked after the run,
                            e.g. 'uplink.delivery.rate >= 0.99 over 200
                            frames ! critical'; violations exit 4
@@ -617,7 +617,8 @@ def build_parser() -> argparse.ArgumentParser:
              "(see repro.faults; ignored by commands without a link)")
     common.add_argument(
         "--profile", action="store_true",
-        help="enable the stage profiler and print the perf report")
+        help="print the per-stage time table (self vs. cumulative "
+             "time of every span)")
     common.add_argument(
         "--slo", metavar="SPEC", default=None,
         help="SLO rules evaluated after the run, e.g. "
@@ -910,7 +911,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     trace = getattr(args, "trace", False)
     metrics_out = getattr(args, "metrics_out", None)
     obs_dir = getattr(args, "obs_dir", None)
-    profiling = getattr(args, "profile", False)
+    print_profile = getattr(args, "profile", False)
     slo_spec = getattr(args, "slo", None)
     slo_engine = None
     if slo_spec:
@@ -925,12 +926,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     recording = record_out is not None and args.func is not _cmd_report
     observing = (
         trace or metrics_out is not None or obs_dir is not None
-        or profiling or slo_engine is not None or recording
+        or print_profile or slo_engine is not None or recording
     )
     if observing:
         obs.configure(
-            metrics=True, tracing=True, profiling=profiling,
-            recording=recording, manifest_dir=obs_dir,
+            metrics=True, tracing=True, recording=recording,
+            manifest_dir=obs_dir,
         )
         obs.reset()
         if recording:
@@ -1017,10 +1018,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                 f"{recorder.seen} packets seen)",
                 file=out,
             )
-    if profiling:
+    if print_profile:
         from repro.obs.perf.report import render_profile
 
-        print("\n" + render_profile(obs.get_profiler().snapshot()), file=out)
+        print("\n" + render_profile(obs.get_tracer().aggregate()), file=out)
     if trace:
         from repro.obs.report import render_span_tree
 

@@ -252,7 +252,7 @@ def condition(
         values = values[:, None]
     if values.shape[0] == 0:
         raise ConfigurationError("cannot condition an empty measurement set")
-    with obs.profile("conditioning.condition"):
+    with obs.span("conditioning.condition"):
         values, repaired = sanitize(values, nonfinite)
         # The baseline buffer becomes the zero-mean matrix and then the
         # normalized one; the absolute values go into the spare buffer.
@@ -263,7 +263,6 @@ def condition(
         # to one level): leave them at zero rather than dividing by zero.
         safe = np.where(scale > 0, scale, 1.0)
         normalized = np.divide(zero_mean, safe, out=zero_mean)
-        obs.add_ops(values.size, values.nbytes)
     return ConditionedMeasurements(
         normalized=normalized,
         scale=scale,

@@ -139,7 +139,7 @@ class CorrelationDecoder:
         # reject, per policy) before conditioning.
         t_decode = time.perf_counter() if obs.metrics_enabled() else 0.0
         with forensics.ensure_record("correlation"), \
-                obs.profile("correlation.decode"):
+                obs.span("correlation.decode"):
             matrix, repaired = conditioning.sanitize(
                 matrix, self.nonfinite_policy
             )
@@ -178,7 +178,6 @@ class CorrelationDecoder:
             score_zero = np.abs(corr_zero[:, best]).sum(axis=1)
             bits = (score_one > score_zero).astype(int)
             margins = score_one - score_zero
-            obs.add_ops(2 * per_bit.size, per_bit.nbytes)
             if obs.recording_enabled():
                 forensics.stage(
                     "condition",

@@ -378,14 +378,13 @@ class UplinkDecoder:
         t_decode = time.perf_counter() if obs.metrics_enabled() else 0.0
         with forensics.ensure_record("uplink"), \
                 obs.span("uplink.decode", mode=mode, num_bits=num_bits,
-                         packets=len(stream)), obs.profile("uplink.decode"):
+                         packets=len(stream)):
             requested_mode = mode
             mode, matrix, repaired = self._resolve_matrix(stream, mode)
             if repaired:
                 obs.counter("uplink.nonfinite.repaired").inc(repaired)
             timestamps = stream.timestamps
-            with obs.span("uplink.decode.condition"), \
-                    obs.profile("uplink.decode.condition"):
+            with obs.span("uplink.decode.condition"):
                 cond = self._condition(stream, matrix, timestamps)
             if obs.recording_enabled():
                 forensics.stage(
@@ -401,7 +400,7 @@ class UplinkDecoder:
             cfg = self.config
             with obs.span("uplink.decode.detect",
                           known_timing=start_time_s is not None) \
-                    as sp_detect, obs.profile("uplink.decode.detect"):
+                    as sp_detect:
                 if start_time_s is None:
                     detection = subchannel.detect_preamble(
                         cond.normalized,
@@ -442,8 +441,7 @@ class UplinkDecoder:
             # RSSI mode keeps only the single best antenna channel (§3.3);
             # CSI mode keeps the top `good_count` of all 90 channels.
             good_count = 1 if mode == "rssi" else cfg.good_count
-            with obs.span("uplink.decode.combine") as sp_combine, \
-                    obs.profile("uplink.decode.combine"):
+            with obs.span("uplink.decode.combine") as sp_combine:
                 good = subchannel.select_good_subchannels(
                     detection.correlations, good_count
                 )
@@ -459,7 +457,6 @@ class UplinkDecoder:
                     detection.correlations, variances, good
                 )
                 combined = combining.combine(cond.normalized, weights)
-                obs.add_ops(cond.normalized.size, cond.normalized.nbytes)
                 self._emit_combine_diagnostics(
                     detection, good, weights, sp_combine
                 )
@@ -476,8 +473,7 @@ class UplinkDecoder:
                         **combining.weight_diagnostics(weights),
                     )
 
-            with obs.span("uplink.decode.slice") as sp_slice, \
-                    obs.profile("uplink.decode.slice"):
+            with obs.span("uplink.decode.slice") as sp_slice:
                 thresholds = slicer.compute_thresholds(
                     combined, cfg.hysteresis_width
                 )

@@ -1,7 +1,7 @@
 """Decode flight recorder + failure-attribution forensics.
 
-Metrics and spans (PR 1) say *how much* went wrong and the profiler
-(PR 3) says *how slow* — this package answers *why a bit flipped*. A
+Metrics say *how much* went wrong and spans (with their stage table)
+say *how slow* — this package answers *why a bit flipped*. A
 bounded ring-buffer :class:`FlightRecorder` captures per-packet stage
 intermediates from every core decoder (conditioning stats, per
 sub-channel preamble correlations, MRC weights, slicer margins and
@@ -12,8 +12,8 @@ to assign a root-cause label: which stage lost the decision margin.
 The contract matches the rest of :mod:`repro.obs`: recording is off by
 default and every capture site is a single boolean check
 (:func:`repro.obs.state.recording_enabled`), so the hot decode paths
-pay effectively nothing — the same zero-overhead discipline as the
-:class:`~repro.obs.perf.profiler.Profiler`.
+pay effectively nothing — the same zero-overhead discipline as
+:func:`repro.obs.span`.
 
 Usage::
 

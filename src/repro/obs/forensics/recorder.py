@@ -24,10 +24,10 @@ Memory is bounded by ``capacity`` with three sampling policies:
   recent ``capacity`` of them (the triage default: healthy decodes
   vastly outnumber interesting ones).
 
-The disabled path mirrors the profiler's null-object contract: module
-level :func:`stage`/:func:`begin`/:func:`commit` are a single boolean
-check while recording is off, and :data:`NULL_RECORD_CONTEXT` is the
-shared no-op context :func:`ensure_record` hands out.
+The disabled path follows the metrics layer's null-object contract:
+module level :func:`stage`/:func:`begin`/:func:`commit` are a single
+boolean check while recording is off, and :data:`NULL_RECORD_CONTEXT`
+is the shared no-op context :func:`ensure_record` hands out.
 """
 
 from __future__ import annotations

@@ -104,9 +104,8 @@ class RunManifest:
         version: package version.
         metrics: metric snapshot at capture time.
         spans: recorded span trees at capture time.
-        profile: per-stage profiler snapshot (``{stage: {calls,
-            total_s, self_s, max_s, ops, bytes}}``) when profiling was
-            enabled.
+        profile: the tracer's stage table (``{stage: {calls, total_s,
+            self_s, max_s}}``) when tracing was enabled.
         forensics: flight-recorder attribution summary (counts by
             root-cause label, error budget, worst packets) when decode
             recording was enabled; the full per-packet records live in
@@ -181,8 +180,8 @@ def build_manifest(
 ) -> RunManifest:
     """Assemble a manifest from the current observability state.
 
-    Captures the global registry snapshot (when metrics are on) and the
-    recorded span trees (when tracing is on).
+    Captures the global registry snapshot (when metrics are on), and
+    the recorded span trees and the stage table (when tracing is on).
     """
     metrics: Dict[str, Any] = {}
     spans: List[Dict[str, Any]] = []
@@ -195,8 +194,7 @@ def build_manifest(
         metrics = state.get_registry().snapshot()
     if state.tracing_enabled():
         spans = state.get_tracer().to_dicts()
-    if state.profiling_enabled():
-        profile = state.get_profiler().snapshot()
+        profile = state.get_tracer().aggregate()
     if state.recording_enabled():
         from repro.obs.forensics import summarize
 

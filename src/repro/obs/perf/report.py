@@ -22,23 +22,16 @@ def _fmt_s(value: Optional[float]) -> str:
     return f"{value * 1e6:.1f} us"
 
 
-def _fmt_count(value: int) -> str:
-    if value >= 1_000_000:
-        return f"{value / 1e6:.1f}M"
-    if value >= 1_000:
-        return f"{value / 1e3:.1f}k"
-    return str(value)
-
-
 def render_profile(profile: Dict[str, Dict[str, Any]]) -> str:
-    """Per-stage cost breakdown: self vs. cumulative time, ops, bytes.
+    """Per-stage cost breakdown: self vs. cumulative time.
 
-    Stages are shown most-expensive-first (the snapshot order); the
-    ``self%`` column is each stage's share of the total self time, so
-    it sums to ~100% and exposes where the wall clock actually went.
+    Takes the tracer's stage table.  Stages are shown
+    most-expensive-first (the table order); the ``self%`` column is
+    each stage's share of the total self time, so it sums to ~100% and
+    exposes where the wall clock actually went.
     """
     if not profile:
-        return "(no profile recorded — run with profiling enabled)"
+        return "(no stage timings recorded — run with tracing enabled)"
     total_self = sum(s.get("self_s", 0.0) for s in profile.values()) or 1.0
     rows = []
     for name, s in profile.items():
@@ -49,11 +42,9 @@ def render_profile(profile: Dict[str, Dict[str, Any]]) -> str:
             _fmt_s(s.get("self_s")),
             f"{100.0 * s.get('self_s', 0.0) / total_self:.1f}%",
             _fmt_s(s.get("max_s")),
-            _fmt_count(int(s.get("ops", 0))),
-            _fmt_count(int(s.get("bytes", 0))),
         ])
     return format_table(
-        ["stage", "calls", "cum", "self", "self%", "max", "ops", "bytes"],
+        ["stage", "calls", "cum", "self", "self%", "max"],
         rows,
         title="perf report (per-stage cost)",
     )

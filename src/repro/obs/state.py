@@ -20,13 +20,11 @@ from typing import Iterator, Optional, Tuple
 
 _metrics_enabled = False
 _tracing_enabled = False
-_profiling_enabled = False
 _recording_enabled = False
 _manifest_dir: Optional[str] = None
 
 _registry = None
 _tracer = None
-_profiler = None
 _recorder = None
 
 
@@ -40,11 +38,6 @@ def tracing_enabled() -> bool:
     return _tracing_enabled
 
 
-def profiling_enabled() -> bool:
-    """True when the per-stage profiler is recording."""
-    return _profiling_enabled
-
-
 def recording_enabled() -> bool:
     """True when the decode flight recorder is capturing."""
     return _recording_enabled
@@ -52,8 +45,7 @@ def recording_enabled() -> bool:
 
 def enabled() -> bool:
     """True when any instrumentation is on."""
-    return (_metrics_enabled or _tracing_enabled or _profiling_enabled
-            or _recording_enabled)
+    return _metrics_enabled or _tracing_enabled or _recording_enabled
 
 
 def manifest_dir() -> Optional[str]:
@@ -64,7 +56,6 @@ def manifest_dir() -> Optional[str]:
 def configure(
     metrics: Optional[bool] = None,
     tracing: Optional[bool] = None,
-    profiling: Optional[bool] = None,
     recording: Optional[bool] = None,
     manifest_dir: Optional[str] = None,
 ) -> None:
@@ -73,20 +64,17 @@ def configure(
     Args:
         metrics: turn metric emission on/off (None = leave unchanged).
         tracing: turn span recording on/off (None = leave unchanged).
-        profiling: turn per-stage profiling on/off (None = unchanged).
         recording: turn the decode flight recorder on/off (None =
             leave unchanged).
         manifest_dir: when set, every instrumented experiment driver
             writes its run manifest under this directory.
     """
-    global _metrics_enabled, _tracing_enabled, _profiling_enabled
-    global _recording_enabled, _manifest_dir
+    global _metrics_enabled, _tracing_enabled, _recording_enabled
+    global _manifest_dir
     if metrics is not None:
         _metrics_enabled = bool(metrics)
     if tracing is not None:
         _tracing_enabled = bool(tracing)
-    if profiling is not None:
-        _profiling_enabled = bool(profiling)
     if recording is not None:
         _recording_enabled = bool(recording)
     if manifest_dir is not None:
@@ -94,19 +82,17 @@ def configure(
 
 
 def enable(metrics: bool = True, tracing: bool = True,
-           profiling: bool = False, recording: bool = False) -> None:
+           recording: bool = False) -> None:
     """Turn instrumentation on (metrics + tracing by default)."""
-    configure(metrics=metrics, tracing=tracing, profiling=profiling,
-              recording=recording)
+    configure(metrics=metrics, tracing=tracing, recording=recording)
 
 
 def disable() -> None:
     """Turn all instrumentation off and clear the manifest directory."""
-    global _metrics_enabled, _tracing_enabled, _profiling_enabled
-    global _recording_enabled, _manifest_dir
+    global _metrics_enabled, _tracing_enabled, _recording_enabled
+    global _manifest_dir
     _metrics_enabled = False
     _tracing_enabled = False
-    _profiling_enabled = False
     _recording_enabled = False
     _manifest_dir = None
 
@@ -131,16 +117,6 @@ def get_tracer():
     return _tracer
 
 
-def get_profiler():
-    """The process-wide :class:`repro.obs.perf.profiler.Profiler`."""
-    global _profiler
-    if _profiler is None:
-        from repro.obs.perf.profiler import Profiler
-
-        _profiler = Profiler()
-    return _profiler
-
-
 def get_recorder():
     """The process-wide
     :class:`repro.obs.forensics.recorder.FlightRecorder`."""
@@ -153,14 +129,12 @@ def get_recorder():
 
 
 def reset() -> None:
-    """Clear all collected metrics, spans, and profile data (switches
-    are untouched)."""
+    """Clear all collected metrics, spans, stage timings and records
+    (switches are untouched)."""
     if _registry is not None:
         _registry.reset()
     if _tracer is not None:
         _tracer.reset()
-    if _profiler is not None:
-        _profiler.reset()
     if _recorder is not None:
         _recorder.reset()
 
@@ -169,7 +143,6 @@ def reset() -> None:
 def session(
     metrics: bool = True,
     tracing: bool = True,
-    profiling: bool = False,
     recording: bool = False,
     manifest_dir: Optional[str] = None,
     fresh: bool = True,
@@ -185,21 +158,19 @@ def session(
 
     Args:
         metrics: enable metric emission inside the block.
-        tracing: enable span recording inside the block.
-        profiling: enable per-stage profiling inside the block.
+        tracing: enable span recording (and the stage table) inside
+            the block.
         recording: enable the decode flight recorder inside the block.
         manifest_dir: auto-write manifests under this directory.
         fresh: clear previously collected data on entry.
     """
-    global _metrics_enabled, _tracing_enabled, _profiling_enabled
-    global _recording_enabled, _manifest_dir
+    global _metrics_enabled, _tracing_enabled, _recording_enabled
+    global _manifest_dir
     saved = (
-        _metrics_enabled, _tracing_enabled, _profiling_enabled,
-        _recording_enabled, _manifest_dir,
+        _metrics_enabled, _tracing_enabled, _recording_enabled, _manifest_dir,
     )
     _metrics_enabled = metrics
     _tracing_enabled = tracing
-    _profiling_enabled = profiling
     _recording_enabled = recording
     _manifest_dir = str(manifest_dir) if manifest_dir is not None else None
     if fresh:
@@ -207,5 +178,5 @@ def session(
     try:
         yield get_registry(), get_tracer()
     finally:
-        (_metrics_enabled, _tracing_enabled, _profiling_enabled,
-         _recording_enabled, _manifest_dir) = saved
+        (_metrics_enabled, _tracing_enabled, _recording_enabled,
+         _manifest_dir) = saved

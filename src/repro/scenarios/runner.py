@@ -329,9 +329,7 @@ def run_scenario(
     alerts: List[Dict[str, Any]] = []
     attribution: Dict[str, Any] = {}
     manifest_path: Optional[str] = None
-    with state.session(
-        metrics=True, tracing=False, profiling=False, recording=record,
-    ):
+    with state.session(metrics=True, tracing=False, recording=record):
         metrics = _execute(scenario, effective_seed, workers, trial_scale)
         if scenario.slo:
             from repro.obs.perf.slo import SloEngine
