@@ -17,12 +17,9 @@ the name.
 
 from __future__ import annotations
 
-import time
 from typing import Dict, Iterable, List, Optional
 
 from repro.errors import ConfigurationError
-from repro.obs.export import escape_measurement as _escape_measurement
-from repro.obs.export import escape_tag as _escape_tag
 from repro.obs.fleet.sketch import QuantileSketch
 from repro.obs.perf.timeseries import TimeSeries
 
@@ -137,36 +134,6 @@ class MetricsRegistry:
         """All metrics as ``{name: summary}``, sorted by name."""
         return {name: self._metrics[name].summary() for name in self.names()}
 
-    def to_line_protocol(self, timestamp_ns: Optional[int] = None) -> str:
-        """One InfluxDB line-protocol line per metric:
-        ``<name>,type=<kind> <field>=<value>,... <timestamp_ns>``.
-
-        Measurement names and tag values are escaped per the line
-        protocol spec (commas and spaces in measurements; commas,
-        spaces, and equals signs in tag keys/values).  Every line
-        carries the same nanosecond timestamp — the snapshot instant —
-        so an ingester sees one coherent scrape.
-
-        Args:
-            timestamp_ns: snapshot time in nanoseconds since the epoch;
-                defaults to ``time.time_ns()``.
-        """
-        if timestamp_ns is None:
-            timestamp_ns = time.time_ns()
-        ts = int(timestamp_ns)
-        lines = []
-        for name, summary in self.snapshot().items():
-            summary = dict(summary)
-            kind = summary.pop("type", "?")
-            fields = ",".join(
-                f"{_escape_tag(k)}={v}"
-                for k, v in summary.items() if v is not None
-            )
-            measurement = _escape_measurement(name)
-            tag = f"type={_escape_tag(str(kind))}"
-            lines.append(f"{measurement},{tag} {fields} {ts}")
-        return "\n".join(lines)
-
     def reset(self) -> None:
         self._metrics.clear()
 
@@ -224,11 +191,6 @@ class MetricsRegistry:
                 raise ConfigurationError(
                     f"unknown metric kind {kind!r} in payload entry {name!r}"
                 )
-
-
-# Line-protocol escaping lives in obs.export (shared with the
-# telemetry exporters); _escape_measurement/_escape_tag are imported
-# at the top of this module under their historical private names.
 
 
 class NullMetric:

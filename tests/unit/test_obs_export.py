@@ -1,24 +1,11 @@
-"""Export-layer codecs: JSONL lines, line protocol, Prometheus text.
+"""Export-layer codec: JSONL lines.
 
-Pins the single-homed NaN/inf JSON codec and the telemetry exporters,
-with the round-trip contract for shed-reason labels containing spaces,
-commas, and equals signs — exactly the characters InfluxDB line
-protocol escapes in tags.
+Pins the single-homed NaN/inf JSON codec.
 """
 
 import math
 
-import pytest
-
-from repro.obs.export import (
-    dumps_line,
-    escape_measurement,
-    escape_tag,
-    loads_line,
-    parse_line_protocol,
-    telemetry_to_line_protocol,
-    telemetry_to_prometheus,
-)
+from repro.obs.export import dumps_line, loads_line
 
 
 class TestJsonlCodec:
@@ -34,106 +21,3 @@ class TestJsonlCodec:
 
     def test_compact_separators(self):
         assert dumps_line({"a": 1, "b": [1, 2]}) == '{"a":1,"b":[1,2]}'
-
-
-class TestEscaping:
-    def test_tag_escapes_space_comma_equals(self):
-        assert escape_tag("queue full,now=yes") == \
-            "queue\\ full\\,now\\=yes"
-
-    def test_measurement_escapes_space_and_comma_only(self):
-        assert escape_measurement("serve shed,hot") == \
-            "serve\\ shed\\,hot"
-        assert escape_measurement("a=b") == "a=b"
-
-
-def snapshot_record(**overrides):
-    record = {
-        "t_s": 4.0,
-        "arrivals": 30,
-        "delivered": 20,
-        "decode_failed": 1,
-        "shed": 6,
-        "deadline_abandoned": 2,
-        "worker_lost": 1,
-        "queue_depth": 5,
-        "queue_depth_max": 12,
-        "egress_depth": 2,
-        "breaker_open": 1,
-        "shed_by_reason": {
-            "queue full,now=yes": 4,
-            "tag_quarantined": 2,
-        },
-        "latency": {"count": 20, "mean": 0.8, "p50": 0.7, "p95": 1.9,
-                    "p99": 2.4},
-        "budget": [{"metric": "serve.request.ok", "remaining": 0.25}],
-    }
-    record.update(overrides)
-    return record
-
-
-class TestLineProtocolRoundTrip:
-    def test_shed_reason_labels_survive_the_wire(self):
-        """Reason labels with spaces/commas/equals round-trip intact."""
-        text = telemetry_to_line_protocol([snapshot_record()])
-        points = parse_line_protocol(text)
-        shed = [
-            p for p in points if p["measurement"] == "serve.shed"
-        ]
-        reasons = {p["tags"]["reason"]: p["fields"]["total"]
-                   for p in shed}
-        assert reasons == {
-            "queue full,now=yes": 4,
-            "tag_quarantined": 2,
-        }
-
-    def test_scalars_and_latency_points(self):
-        text = telemetry_to_line_protocol([snapshot_record()])
-        points = {p["measurement"]: p for p in parse_line_protocol(text)}
-        base = points["serve"]
-        assert base["fields"]["delivered"] == 20
-        assert isinstance(base["fields"]["delivered"], int)
-        assert base["timestamp_ns"] == int(4.0 * 1e9)
-        lat = points["serve.latency"]
-        assert lat["fields"]["p99"] == 2.4
-        budget = points["serve.budget"]
-        assert budget["fields"]["remaining"] == 0.25
-
-    def test_parser_honours_escapes_and_comments(self):
-        text = "\n".join([
-            "# a comment",
-            "",
-            'serve.shed,reason=queue\\ full\\,now\\=yes total=4i 123',
-        ])
-        (point,) = parse_line_protocol(text)
-        assert point["tags"]["reason"] == "queue full,now=yes"
-        assert point["fields"]["total"] == 4
-        assert point["timestamp_ns"] == 123
-
-    def test_multiple_records_emit_per_snapshot_points(self):
-        records = [snapshot_record(t_s=1.0), snapshot_record(t_s=2.0)]
-        points = parse_line_protocol(
-            telemetry_to_line_protocol(records)
-        )
-        stamps = {
-            p["timestamp_ns"] for p in points
-            if p["measurement"] == "serve"
-        }
-        assert stamps == {int(1e9), int(2e9)}
-
-
-class TestPrometheus:
-    def test_exposition_format(self):
-        text = telemetry_to_prometheus(snapshot_record())
-        assert "# TYPE serve_queue_depth gauge" in text
-        assert "serve_queue_depth 5" in text
-        assert 'serve_shed_total{reason="queue full,now=yes"} 4' in text
-        assert 'serve_latency_seconds{quantile="0.95"} 1.9' in text
-        assert "serve_budget_remaining 0.25" in text
-
-    def test_label_escaping(self):
-        record = snapshot_record(
-            shed_by_reason={'say "hi"\\now': 1}
-        )
-        text = telemetry_to_prometheus(record)
-        assert 'reason="say \\"hi\\"\\\\now"' in text
