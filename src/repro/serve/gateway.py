@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -35,7 +35,6 @@ from repro.faults.base import FaultPlan
 from repro.obs import forensics
 from repro.obs import state as obs_state
 from repro.obs.perf.burnrate import BudgetObjective, BurnRateEngine
-from repro.obs.perf.slo import SloEngine
 from repro.obs.perf.timeseries import (
     ExemplarReservoir,
     TimeSeries,
@@ -69,6 +68,11 @@ from repro.serve.telemetry import (
     TELEMETRY_WINDOW_CADENCES,
     TelemetrySnapshotter,
 )
+
+if TYPE_CHECKING:
+    # Only annotations name it: a session without SLO rules never loads
+    # the rule engine.
+    from repro.obs.perf.slo import SloEngine
 
 #: Metric name of the gateway's private 0/1 good-event series watched
 #: by the burn-rate engine (1 = delivered, 0 = any other disposition).

@@ -52,6 +52,7 @@ ABSENT_MODULES = (
     "repro.phy.envelope",
     "repro.phy.ofdm",
     "repro.obs.manifest",
+    "repro.obs.perf.slo",
     "repro.obs.fleet.report",
     "repro.obs.forensics.report",
     # Process-pool machinery loads where a pool is made.
