@@ -23,6 +23,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.obs.fleet.health import TagHealthRegistry
 from repro.obs.fleet.sketch import QuantileSketch, SpaceSavingSketch
+from repro.serve.breaker import BREAKER_CLOSED
 
 #: Schema tag stamped into ``--health-out`` artifacts.
 FLEET_SCHEMA = "repro.fleet/1"
@@ -68,7 +69,7 @@ class FleetAggregator:
         latency_s: float = 0.0,
         errors: int = 0,
         bits: int = 0,
-        breaker_state: str = "closed",
+        breaker_state: str = BREAKER_CLOSED,
         t: float = 0.0,
         corr_id: str = "",
     ) -> None:

@@ -35,10 +35,10 @@ from collections import OrderedDict
 from typing import Any, Dict, List, Optional
 
 from repro.errors import ConfigurationError
+from repro.serve.breaker import BREAKER_CLOSED, BREAKER_OPEN
 
 #: Outcome status labels accepted by :meth:`TagHealthRegistry.fold`
-#: (mirrors ``repro.serve.request.STATUSES``; kept literal so the obs
-#: layer stays import-independent of the serve package).
+#: (mirrors ``repro.serve.request.STATUSES``).
 FOLD_STATUSES = (
     "delivered", "decode_failed", "shed", "deadline_abandoned",
     "worker_lost",
@@ -82,7 +82,7 @@ class TagHealth:
         self.error_bits = 0
         self.ber_ewma: Optional[float] = None
         self.breaker_openings = 0
-        self.breaker_state = "closed"
+        self.breaker_state = BREAKER_CLOSED
         self.last_seen_s = 0.0
         #: Correlation ID of the worst request seen (most error bits) —
         #: the hop from an anomaly row to the flight-recorder exemplar
@@ -123,7 +123,8 @@ class TagHealth:
                 f"unknown outcome status {status!r} "
                 f"(expected one of {FOLD_STATUSES})"
             )
-        if breaker_state == "open" and self.breaker_state != "open":
+        if (breaker_state == BREAKER_OPEN
+                and self.breaker_state != BREAKER_OPEN):
             self.breaker_openings += 1
         self.breaker_state = str(breaker_state)
         self.last_seen_s = float(t)
@@ -189,7 +190,7 @@ class TagHealth:
             + 0.3 * (1.0 - ber)
             + 0.2 * (1.0 - self.deadline_rate)
         )
-        if self.breaker_state == "open":
+        if self.breaker_state == BREAKER_OPEN:
             score *= 0.5
         return max(0.0, min(1.0, score))
 
@@ -226,7 +227,7 @@ class TagHealth:
         ber = data.get("ber_ewma")
         entry.ber_ewma = None if ber is None else float(ber)
         entry.breaker_openings = int(data.get("breaker_openings", 0))
-        entry.breaker_state = str(data.get("breaker_state", "closed"))
+        entry.breaker_state = str(data.get("breaker_state", BREAKER_CLOSED))
         entry.last_seen_s = float(data.get("last_seen_s", 0.0))
         entry.worst_corr_id = str(data.get("worst_corr_id", ""))
         entry.worst_errors = int(data.get("worst_errors", -1))
@@ -316,7 +317,7 @@ class TagHealthRegistry:
         status: str,
         errors: int = 0,
         bits: int = 0,
-        breaker_state: str = "closed",
+        breaker_state: str = BREAKER_CLOSED,
         t: float = 0.0,
         corr_id: str = "",
     ) -> TagHealth:
