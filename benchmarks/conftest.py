@@ -7,7 +7,7 @@ summary. Run with::
     pytest benchmarks/ --benchmark-only -s
 
 Each figure test leaves its diagnostic record (wall time, metric
-snapshot, aggregated span timings, git SHA) under
+snapshot, the tracer's stage table, git SHA) under
 ``benchmarks/artifacts/`` (override with ``REPRO_BENCH_ARTIFACTS``).
 See docs/observability.md.
 """
@@ -46,7 +46,7 @@ def obs_capture(request):
     record figure-level results as gauges. On teardown, writes the
     full diagnostic record to ``benchmarks/artifacts/BENCH_<test>.json``.
     """
-    with obs.session(metrics=True, tracing=True) as (registry, tracer):
+    with obs.session(metrics=True, tracing=True) as (registry, _):
         start = time.perf_counter()
         yield registry
         wall_s = time.perf_counter() - start
@@ -56,7 +56,7 @@ def obs_capture(request):
             "wall_s": wall_s,
             "git_sha": obs.git_sha(),
             "metrics": snapshot,
-            "spans": tracer.aggregate(),
+            "spans": obs.get_tracer().aggregate(),
         }
     name = request.node.name.replace("/", "_")
     obs.write_json(os.path.join(ARTIFACT_DIR, f"BENCH_{name}.json"), artifact)
