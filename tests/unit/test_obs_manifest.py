@@ -111,6 +111,25 @@ class TestBuildManifest:
         assert m.params["tag_coupling"] == DEFAULTS.tag_coupling
         assert m.seed == 5
 
+    def test_profile_is_the_stage_table_when_tracing(self):
+        with obs.session(metrics=False):
+            with obs.span("outer"):
+                with obs.span("inner"):
+                    pass
+            m = build_manifest("run")
+            table = obs.get_tracer().aggregate()
+        assert m.profile == table
+        assert {name: s["calls"] for name, s in m.profile.items()} == {
+            "outer": 1, "inner": 1,
+        }
+
+    def test_no_profile_without_tracing(self):
+        with obs.session(metrics=True, tracing=False):
+            with obs.span("stage"):
+                pass
+            m = build_manifest("run")
+        assert m.spans == [] and m.profile == {}
+
     def test_disabled_captures_nothing(self):
         m = build_manifest("run")
         assert m.metrics == {} and m.spans == []
