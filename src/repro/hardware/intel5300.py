@@ -149,7 +149,10 @@ class Intel5300:
             true_channels: complex channels, shape (n, antennas, subch).
             timestamps_s: non-decreasing packet timestamps, shape (n,).
             source: transmitter label for every packet.
-            with_csi: whether CSI is reported (False for beacons).
+            with_csi: whether CSI is reported: ``False`` for beacons,
+                and for an RSSI-only reader that has no use for it.
+                The RSSI noise is drawn first, so ``False`` leaves the
+                RSSI bit-for-bit as it is with CSI.
         """
         h = np.asarray(true_channels, dtype=complex)
         times = np.asarray(timestamps_s, dtype=float)
