@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from repro.core.frames import UplinkFrame
+from repro.core.uplink_decoder import UplinkDecoder
 from repro.errors import ConfigurationError, DecodeError
+from repro.faults.base import FaultPlan
+from repro.faults.spec import parse_fault_spec
+from repro.hardware.intel5300 import Intel5300
+from repro.sim import engine
 from repro.sim.link import (
     SimulatedDownlinkTransport,
     SimulatedUplinkTransport,
@@ -14,6 +19,7 @@ from repro.sim.link import (
     run_downlink_circuit_trial,
     run_uplink_ber,
     run_uplink_trial,
+    synthesize_uplink_trial,
 )
 
 
@@ -71,6 +77,96 @@ class TestUplinkTrials:
         # work from.
         with pytest.raises(DecodeError, match="2 preamble packets"):
             run_uplink_ber(0.3, 0.1, repeats=1, seed=0)
+
+
+@pytest.fixture
+def csi_requests(monkeypatch):
+    """The ``with_csi`` of every ``Intel5300.measure_batch`` call."""
+    requests = []
+    measure_batch = Intel5300.measure_batch
+
+    def spy(self, true_channels, timestamps_s, source="helper",
+            with_csi=True):
+        requests.append(with_csi)
+        return measure_batch(self, true_channels, timestamps_s,
+                             source=source, with_csi=with_csi)
+
+    monkeypatch.setattr(Intel5300, "measure_batch", spy)
+    return requests
+
+
+class TestRssiOnlyTrials:
+    """A fault-free RSSI trial skips the CSI report its decode never
+    reads, and decodes exactly what it decoded with the report."""
+
+    @pytest.mark.parametrize("packets_per_bit", [10.0, 30.0])
+    @pytest.mark.parametrize("distance", [0.1, 0.3])
+    def test_rssi_only_stream_keeps_the_rssi_decode(
+        self, distance, packets_per_bit
+    ):
+        decoder = UplinkDecoder()
+        for seed in range(20):
+            payload, full, tx_start = synthesize_uplink_trial(
+                distance, packets_per_bit, rng=np.random.default_rng(seed)
+            )
+            lean_payload, lean, lean_start = synthesize_uplink_trial(
+                distance, packets_per_bit, rng=np.random.default_rng(seed),
+                with_csi=False,
+            )
+            assert np.array_equal(lean_payload, payload)
+            assert lean_start == tx_start
+            assert lean.timestamps.tobytes() == full.timestamps.tobytes()
+            assert lean.rssi_matrix().tobytes() == full.rssi_matrix().tobytes()
+            assert full.csi_coverage() == 1.0
+            assert lean.csi_coverage() == 0.0
+            decoded = [
+                decoder.decode_bits(
+                    stream, len(payload), 0.01, mode="rssi",
+                    start_time_s=tx_start,
+                )
+                for stream in (full, lean)
+            ]
+            assert np.array_equal(decoded[1].bits, decoded[0].bits)
+            assert decoded[1].mode == decoded[0].mode == "rssi"
+            assert decoded[1].detection.score == decoded[0].detection.score
+
+    @pytest.mark.parametrize("mode, faults, with_csi", [
+        ("rssi", None, False),
+        ("rssi", FaultPlan(), False),
+        ("csi", None, True),
+        ("rssi", "nan:prob=0.01", True),
+        ("rssi", "outage:duty=0.1,burst=0.3", True),
+    ])
+    def test_which_trials_render_csi(
+        self, csi_requests, mode, faults, with_csi
+    ):
+        if isinstance(faults, str):
+            faults = parse_fault_spec(faults, base_seed=0)
+        run_uplink_trial(
+            0.1, 10, mode=mode, rng=np.random.default_rng(0), faults=faults
+        )
+        assert csi_requests == [with_csi]
+
+    def test_rssi_transport_keeps_csi(self, csi_requests):
+        # One generator runs across the transport's frames, so its
+        # draw sequence keeps the CSI report.
+        transport = SimulatedUplinkTransport(
+            tag_to_reader_m=0.05, mode="rssi", rng=np.random.default_rng(1)
+        )
+        transport.pending_frame = UplinkFrame(payload_bits=(1, 0, 1, 1) * 4)
+        assert transport.receive(16, 100.0) is not None
+        assert csi_requests == [True]
+
+    def test_rssi_ber_on_a_fresh_pool_matches_serial(self):
+        serial = run_uplink_ber(0.3, 30, mode="rssi", repeats=4, seed=1)
+        engine.shutdown_pool()
+        try:
+            pooled = run_uplink_ber(
+                0.3, 30, mode="rssi", repeats=4, seed=1, workers=2
+            )
+        finally:
+            engine.shutdown_pool()
+        assert pooled == serial
 
 
 class TestCorrelationTrials:
