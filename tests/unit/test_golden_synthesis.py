@@ -23,7 +23,10 @@ bits, error counts, fault evidence units, counters and delivered
 payloads.  So a digest does not depend on which SIMD code paths a CPU
 takes for ``exp``/``log``.  The exceptions are virtual-clock floats:
 the faulted serve session's ``report.fleet`` block, the gate serve
-sessions' ``latency_p99_s`` and the fleet latency offender board.
+sessions' ``latency_p99_s`` and the fleet latency offender board; and
+the ``record/*`` cases, which hash faulted BER sweeps' flight-recorder
+records whole, every stage in its recorded JSON form (slicer margins,
+conditioning and detection floats, non-finite cells as strings).
 
 A change that moves a digest must regenerate the file deliberately and
 say why::
@@ -76,6 +79,11 @@ MIXED_SPEC = ("brownout:duty=0.15,burst=0.1;"
               "interference:duty=0.15,burst=0.1;"
               "drift:ppm=80,jitter=0.0005;nan:prob=0.02,mode=inf")
 MIXED_SEEDS = range(4)
+#: Seeds of the ``record/*`` cases (``FAULT_SPEC``) and of the
+#: ``record-mixed/*`` cases (``MIXED_SPEC``: +inf cells, and NaN margins
+#: for bits that got no packets).
+RECORD_SEEDS = range(3)
+RECORD_MIXED_SEEDS = range(2)
 SERVE_CONFIG = ServeConfig(
     duration_s=10.0, offered_load_rps=4.0, burst_load_rps=12.5,
     burst_start_s=3.0, burst_end_s=7.0, deadline_ms=2500.0,
@@ -242,6 +250,20 @@ def _fault_case(mode, distance, seed, spec) -> str:
         )
         recorded = _recorded_parts(registry)
     return _digest(*synth, ber, *recorded)
+
+
+def _record_case(mode, distance, seed, spec) -> str:
+    """Every record of one serial faulted BER sweep, as recorded."""
+    with _pinned_recorder(), obs.session(
+        metrics=False, tracing=False, recording=True
+    ):
+        link.run_uplink_ber(
+            distance, 10.0, mode=mode, repeats=4,
+            num_payload_bits=PAYLOAD_BITS, seed=seed,
+            faults=parse_fault_spec(spec, base_seed=seed),
+        )
+        records = list(obs.get_recorder().records)
+    return _digest(records)
 
 
 def _row_stream_parts(stream):
@@ -599,6 +621,14 @@ def compute(gate: bool = True) -> Dict[str, str]:
             )
             if seed in MIXED_SEEDS:
                 out[f"mixed/{key}"] = _fault_case(
+                    mode, distance, seed, MIXED_SPEC
+                )
+            if seed in RECORD_SEEDS:
+                out[f"record/{key}"] = _record_case(
+                    mode, distance, seed, FAULT_SPEC
+                )
+            if seed in RECORD_MIXED_SEEDS:
+                out[f"record-mixed/{key}"] = _record_case(
                     mode, distance, seed, MIXED_SPEC
                 )
     for distance in RSSI_TRIAL_DISTANCES:
