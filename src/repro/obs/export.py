@@ -51,10 +51,17 @@ def jsonable(value: Any) -> Any:
     if value is None or isinstance(value, (bool, int, str)):
         return value
     if isinstance(value, float):
-        return value if np.isfinite(value) else _encode_nonfinite(value)
+        return value if math.isfinite(value) else _encode_nonfinite(value)
     if isinstance(value, np.generic):
         return jsonable(value.item())
     if isinstance(value, np.ndarray):
+        if value.ndim == 0:
+            return jsonable(value.item())
+        # Integer, bool and all-finite float arrays list straight to
+        # the python scalars the per-element pass would return.
+        kind = value.dtype.kind
+        if kind in "biu" or (kind == "f" and np.isfinite(value).all()):
+            return value.tolist()
         return [jsonable(v) for v in value.tolist()]
     if isinstance(value, dict):
         return {str(k): jsonable(v) for k, v in value.items()}
