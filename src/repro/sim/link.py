@@ -487,9 +487,15 @@ def run_uplink_ber(
     bits) and floors zero-error runs.
 
     Trials draw from per-trial streams spawned off the root seed
-    (:func:`repro.sim.engine.spawn_seeds`), so ``workers=N`` returns
-    results bit-identical to serial for the same seed — parallelism is
-    purely an execution detail.
+    (:func:`repro.sim.engine.spawn_seeds`), so without a fault plan
+    ``workers=N`` returns results bit-identical to serial for the same
+    seed.  A fault plan keeps that promise only when its injectors draw
+    nothing but their burst schedule: ``outage``, ``brownout`` and
+    ``drift`` without jitter.  The serial loop passes one plan whose
+    generators advance from trial to trial, while each pooled task
+    unpickles its own copy at the initial state, so ``nan``,
+    ``agc_jump``, ``csi_dropout``, ``interference`` and jittered
+    ``drift`` give every trial after the first other draws.
 
     With a fault plan attached, successive trials are laid out
     back-to-back in absolute time so each one samples a fresh stretch
