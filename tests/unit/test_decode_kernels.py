@@ -177,12 +177,22 @@ def binning_cases():
     sorted_times = np.sort(rng.uniform(-0.05, 0.3, 800))
     unsorted = rng.permutation(sorted_times)
     sparse = np.array([0.001, 0.002, 0.035, 0.036, 0.071, 0.5, -0.2])
+    # Bits with 0, 1 and uneven packet counts, on both sides of the
+    # pairwise sum's 8-wide unrolling and of its 128-element blocks.
+    counts = [0, 1, 2, 7, 8, 9, 16, 0, 127, 128, 129, 1, 255, 256, 257,
+              300, 3, 0, 1, 64, 65, 5, 0, 33, 1]
+    uneven = np.concatenate([
+        0.01 * (k + np.sort(rng.uniform(0.0, 1.0, n)))
+        for k, n in enumerate(counts)
+    ])
     return {
         "sorted": sorted_times,
         "unsorted": unsorted,
         "empty-bins": sparse,
         "no-packets": np.array([]),
         "all-outside": np.array([-1.0, 5.0, 6.0]),
+        "uneven": uneven,
+        "uneven-unsorted": rng.permutation(uneven),
     }
 
 
@@ -245,6 +255,28 @@ class TestBinningOracle:
                                        erasure_value=1)
         bits, support, erasures = ref_soft(combined, times, START, BIT,
                                            NUM_BITS, erasure_value=1)
+        assert same_bits(got.bits, bits)
+        assert same_bits(got.support, support)
+        assert same_bits(got.erasures, erasures)
+
+    @pytest.mark.parametrize("name", list(CASES))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_margins_and_soft_average_with_nan_samples(self, name, seed):
+        """Samples over twelve decades (so the summation order shows in
+        the last bit) with NaN, +-inf and -0.0 cells."""
+        times = CASES[name]
+        combined = awkward(len(times), seed)
+        th = HysteresisThresholds(low=-0.3, high=0.2)
+        with np.errstate(invalid="ignore"):  # inf - inf in a bit's sum
+            assert same_bits(
+                slicer.margin_profile(combined, th, times, START, BIT,
+                                      NUM_BITS),
+                ref_margins(combined, th, times, START, BIT, NUM_BITS),
+            )
+            got = slicer.soft_average_bits(combined, times, START, BIT,
+                                           NUM_BITS)
+            bits, support, erasures = ref_soft(combined, times, START, BIT,
+                                               NUM_BITS)
         assert same_bits(got.bits, bits)
         assert same_bits(got.support, support)
         assert same_bits(got.erasures, erasures)
