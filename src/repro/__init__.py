@@ -27,7 +27,10 @@ Quickstart::
 
 __version__ = "1.0.0"
 
+from repro import _heap
 from repro._lazy import attach
+
+_heap.retain_freed_heap()
 
 __getattr__, __dir__, __all__ = attach(__name__, {
     "repro.errors": [
