@@ -239,7 +239,8 @@ def condition(
         window_s: moving-average window.
         nonfinite: NaN/inf policy — see :func:`sanitize`.  The default
             rejects with a typed :class:`MeasurementError` rather than
-            silently propagating NaN downstream.
+            silently propagating NaN downstream; ``"propagate"`` skips
+            the scan and reports ``repaired`` as 0.
 
     Returns:
         :class:`ConditionedMeasurements`.
@@ -253,7 +254,9 @@ def condition(
     if values.shape[0] == 0:
         raise ConfigurationError("cannot condition an empty measurement set")
     with obs.span("conditioning.condition"):
-        values, repaired = sanitize(values, nonfinite)
+        repaired = 0
+        if nonfinite != "propagate":
+            values, repaired = sanitize(values, nonfinite)
         # The baseline buffer becomes the zero-mean matrix and then the
         # normalized one; the absolute values go into the spare buffer.
         zero_mean, spare = _moving_average(values, timestamps_s, window_s)

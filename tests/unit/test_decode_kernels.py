@@ -345,6 +345,8 @@ class TestConditioningOracle:
                                           nonfinite="propagate")
         assert same_bits(cond.normalized, normalized)
         assert same_bits(cond.scale, scale)
+        # Propagating repairs no cell, whatever the matrix holds.
+        assert cond.repaired == 0
 
 
 class TestSanitizeOracle:
