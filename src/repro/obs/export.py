@@ -52,14 +52,23 @@ def jsonable(value: Any) -> Any:
         return value
     if isinstance(value, float):
         return value if math.isfinite(value) else _encode_nonfinite(value)
+    # ``.item()`` of an extended-precision scalar is itself again.
+    if isinstance(value, np.longdouble):
+        return jsonable(float(value))
+    if isinstance(value, np.clongdouble):
+        return jsonable(complex(value))
     if isinstance(value, np.generic):
         return jsonable(value.item())
     if isinstance(value, np.ndarray):
         if value.ndim == 0:
             return jsonable(value.item())
+        kind = value.dtype.kind
+        if kind == "f" and value.dtype.itemsize > 8:
+            # As ``float()`` of the scalar: beyond float64 range is inf.
+            with np.errstate(over="ignore"):
+                value = value.astype(float)
         # Integer, bool and all-finite float arrays list straight to
         # the python scalars the per-element pass would return.
-        kind = value.dtype.kind
         if kind in "biu" or (kind == "f" and np.isfinite(value).all()):
             return value.tolist()
         return [jsonable(v) for v in value.tolist()]
